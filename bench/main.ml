@@ -252,6 +252,40 @@ let t1 () =
 (* T2: log volume vs trace-everything (§2/§3.1).                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Trace-everything bytes under a plain size model, since the full trace
+   has no on-disk codec: every event costs a 16-byte header (pid, seq,
+   step and a statement/function id as 32-bit words) plus 8 bytes per
+   value word it carries, one per scalar and one per array element. *)
+let trace_bytes (tr : Trace.Full_trace.t) =
+  let module E = Runtime.Event in
+  let v = function Runtime.Value.Varr a -> Array.length a | _ -> 1 in
+  let vo = function Some x -> v x | None -> 0 in
+  let vs = List.fold_left (fun a x -> a + v x) 0 in
+  let binds = List.fold_left (fun a (_, x) -> a + v x) 0 in
+  let words = function
+    | E.E_stmt { reads; write; kind; _ } ->
+      List.fold_left (fun a (rw : E.rw) -> a + v rw.value) 0 reads
+      + (match write with Some rw -> v rw.value | None -> 0)
+      + (match kind with
+        | E.K_call { args; _ } | E.K_spawn { args; _ } -> vs args
+        | E.K_call_return { ret = x; _ }
+        | E.K_return { value = x }
+        | E.K_join { result = x; _ } ->
+          vo x
+        | E.K_print { value } -> v value
+        | E.K_send _ | E.K_recv _ -> 1
+        | E.K_assign | E.K_pred _ | E.K_p _ | E.K_v _ | E.K_send_unblocked _
+        | E.K_assert _ ->
+          0)
+    | E.E_enter { binds = b; _ } | E.E_proc_start { binds = b; _ } -> binds b
+    | E.E_leave { ret = x; _ } | E.E_proc_exit { result = x; _ } -> vo x
+    | E.E_loop_enter _ -> 0
+    | E.E_loop_exit { writes; _ } -> Option.fold ~none:0 ~some:binds writes
+  in
+  Array.fold_left
+    (fun a (r : Trace.Full_trace.rec_) -> a + 16 + (8 * words r.tr_ev))
+    0 tr.Trace.Full_trace.recs
+
 let t2 () =
   header "T2  Log volume: incremental tracing vs trace-everything baseline";
   row "%-14s %10s %12s %12s %12s %8s\n" "workload" "log entrs" "log bytes"
@@ -260,9 +294,9 @@ let t2 () =
     (fun (name, src) ->
       let _eb, _halt, log, tr, _m = logged_artifacts src in
       let le = Trace.Log.entry_count log in
-      let lb = Trace.Log_io.measure log in
+      let lb = Store.Segment.encoded_size log in
       let te = Trace.Full_trace.nevents tr in
-      let tb = Trace.Log_io.measure_trace tr in
+      let tb = trace_bytes tr in
       row "%-14s %10d %12d %12d %12d %7.1fx\n" name le lb te tb
         (float_of_int tb /. float_of_int (max 1 lb)))
     workloads
@@ -607,16 +641,13 @@ let t8 () =
     (fmt_ns (time_of results "t8/eblock+prune"))
 
 (* ------------------------------------------------------------------ *)
-(* T9: durable store — v1 Marshal blob vs v2 segmented format.          *)
+(* T9: durable store — v2 segment size and save/load/open cost.         *)
 (* ------------------------------------------------------------------ *)
 
 type t9_row = {
   t9_name : string;
   t9_entries : int;
-  t9_v1_bytes : int;
   t9_v2_bytes : int;
-  t9_v1_save_ns : float;
-  t9_v1_load_ns : float;
   t9_v2_save_ns : float;
   t9_v2_load_ns : float;
   t9_v2_open_ns : float;
@@ -628,24 +659,14 @@ let t9_rows () =
       let prog = compile src in
       let eb = Analysis.Eblock.analyze prog in
       let _, log, _ = Trace.Logger.run_logged ~sched eb in
-      let v1b = Trace.Log_io.measure log in
       let v2b = Store.Segment.encoded_size log in
       let path = Filename.temp_file "ppd_bench" ".log" in
-      let path1 = Filename.temp_file "ppd_bench_v1" ".log" in
       Fun.protect
-        ~finally:(fun () ->
-          Sys.remove path;
-          Sys.remove path1)
+        ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Trace.Log_io.save path1 log;
           let tests =
             Test.make_grouped ~name:"t9"
               [
-                Test.make ~name:"v1save"
-                  (Staged.stage (fun () -> Trace.Log_io.save path1 log));
-                Test.make ~name:"v1load"
-                  (Staged.stage (fun () ->
-                       ignore (Trace.Log_io.load path1)));
                 Test.make ~name:"save"
                   (Staged.stage (fun () ->
                        Store.Segment.save path log));
@@ -663,10 +684,7 @@ let t9_rows () =
           {
             t9_name = name;
             t9_entries = Trace.Log.entry_count log;
-            t9_v1_bytes = v1b;
             t9_v2_bytes = v2b;
-            t9_v1_save_ns = time_of results "t9/v1save";
-            t9_v1_load_ns = time_of results "t9/v1load";
             t9_v2_save_ns = time_of results "t9/save";
             t9_v2_load_ns = time_of results "t9/load";
             t9_v2_open_ns = time_of results "t9/open";
@@ -674,17 +692,13 @@ let t9_rows () =
     workloads
 
 let t9 () =
-  header "T9  Durable store: v1 (Marshal) vs v2 (CRC-framed segments)";
-  row "%-14s %8s %9s %9s %7s %11s %11s %11s %11s %11s\n" "workload"
-    "entries" "v1 bytes" "v2 bytes" "v2/v1" "v1 save" "v1 load" "v2 save"
-    "v2 load" "v2 open";
+  header "T9  Durable store: v2 CRC-framed segments";
+  row "%-14s %8s %9s %11s %11s %11s\n" "workload" "entries" "v2 bytes"
+    "v2 save" "v2 load" "v2 open";
   List.iter
     (fun r ->
-      row "%-14s %8d %9d %9d %6.2fx %11s %11s %11s %11s %11s\n" r.t9_name
-        r.t9_entries r.t9_v1_bytes r.t9_v2_bytes
-        (float_of_int r.t9_v2_bytes /. float_of_int (max 1 r.t9_v1_bytes))
-        (fmt_ns r.t9_v1_save_ns) (fmt_ns r.t9_v1_load_ns)
-        (fmt_ns r.t9_v2_save_ns) (fmt_ns r.t9_v2_load_ns)
+      row "%-14s %8d %9d %11s %11s %11s\n" r.t9_name r.t9_entries
+        r.t9_v2_bytes (fmt_ns r.t9_v2_save_ns) (fmt_ns r.t9_v2_load_ns)
         (fmt_ns r.t9_v2_open_ns))
     (t9_rows ())
 
@@ -1400,11 +1414,9 @@ let t9_json () =
       (List.map
          (fun r ->
            Printf.sprintf
-             "{\"workload\":%S,\"entries\":%d,\"v1_bytes\":%d,\"v2_bytes\":%d,\
-              \"v1_save_ns\":%s,\"v1_load_ns\":%s,\"v2_save_ns\":%s,\
-              \"v2_load_ns\":%s,\"v2_open_ns\":%s}"
-             r.t9_name r.t9_entries r.t9_v1_bytes r.t9_v2_bytes
-             (jfloat r.t9_v1_save_ns) (jfloat r.t9_v1_load_ns)
+             "{\"workload\":%S,\"entries\":%d,\"v2_bytes\":%d,\
+              \"v2_save_ns\":%s,\"v2_load_ns\":%s,\"v2_open_ns\":%s}"
+             r.t9_name r.t9_entries r.t9_v2_bytes
              (jfloat r.t9_v2_save_ns) (jfloat r.t9_v2_load_ns)
              (jfloat r.t9_v2_open_ns))
          (t9_rows ()))

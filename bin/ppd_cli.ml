@@ -391,7 +391,7 @@ let run_cmd =
 (* Render PPD050 and exit 6: the file is not a readable log. *)
 let die_unreadable ~path ~reason =
   Format.eprintf "%a@." Lang.Diag.pp_human
-    [ Trace.Log_io.ppd050 ~path ~reason ];
+    [ Store.Segment.ppd050 ~path ~reason ];
   exit 6
 
 (* Render PPD060 and exit 7: the replay watchdog fired. *)
@@ -448,7 +448,7 @@ let debugging ~cleanup f =
   | exception Ppd.Reconstruct.Divergence { reason } ->
     cleanup ();
     die_divergence ~reason
-  | exception Trace.Log_io.Unreadable { path; reason } ->
+  | exception Store.Segment.Unreadable { path; reason } ->
     cleanup ();
     die_unreadable ~path ~reason
   | exception Fault.Injected { site; kind } ->
@@ -462,7 +462,7 @@ let log_path_arg =
   Arg.(
     required
     & pos 0 (some string) None
-    & info [] ~docv:"LOG" ~doc:"Saved log file (v1 or v2).")
+    & info [] ~docv:"LOG" ~doc:"Saved log file.")
 
 let log_cmd =
   let save_arg =
@@ -474,12 +474,7 @@ let log_cmd =
             "Stream the log to PATH as a durable v2 segment while the \
              program runs (records are flushed as e-blocks close).")
   in
-  let v1_arg =
-    Arg.(
-      value & flag
-      & info [ "v1" ] ~doc:"With --save, write the legacy v1 marshal format.")
-  in
-  let run file sched steps engine inline loops save v1 order ckpt_every faults
+  let run file sched steps engine inline loops save order ckpt_every faults
       fseed pout ptrace =
     profile_setup pout ptrace;
     arm_faults faults fseed;
@@ -487,42 +482,40 @@ let log_cmd =
     let prog = compile_or_die src in
     let tier = tier_of ~order ~sched ~engine ~steps in
     let writer =
-      match save with
-      | Some path when not v1 -> Some (Store.Segment.Writer.to_file ~tier path)
-      | Some _ | None -> None
+      Option.map
+        (fun path -> (path, Store.Segment.Writer.to_file ~tier path))
+        save
     in
     let s =
       Ppd.Session.of_program ~engine ~sched ~max_steps:steps
         ~policy:(policy_of ~loops inline)
-        ?log_sink:(Option.map Store.Segment.Writer.sink writer)
+        ?log_sink:
+          (Option.map (fun (_, w) -> Store.Segment.Writer.sink w) writer)
         ~log_order:order ~ckpt_every prog
     in
     print_endline (Ppd.Session.explain_halt s);
     let log = Ppd.Session.log s in
     Format.printf "%a@." (Trace.Log.pp (Ppd.Session.prog s)) log;
-    Printf.printf "%d entries, %d bytes serialized (v2; %d as v1)\n"
+    Printf.printf "%d entries, %d bytes serialized\n"
       (Trace.Log.entry_count log)
-      (Store.Segment.encoded_size log)
-      (Trace.Log_io.measure log);
+      (Store.Segment.encoded_size log);
     if order then
       Printf.printf "order tier (%s, %s engine), %d checkpoint(s)\n"
         (Runtime.Sched.string_of_policy sched)
         (engine_name engine)
         (Array.length log.Trace.Log.ckpts);
-    (match save with
+    (match writer with
     | None -> ()
-    | Some path ->
-      (match writer with
-      | Some w -> Store.Segment.Writer.close w
-      | None -> Trace.Log_io.save path log);
+    | Some (path, w) -> (
+      Store.Segment.Writer.close w;
       Printf.printf "saved to %s\n" path;
-      match Option.bind writer Store.Segment.Writer.failure with
+      match Store.Segment.Writer.failure w with
       | None -> ()
       | Some reason ->
         Printf.printf
           "log sink died: %s; only the durable prefix reached disk (see \
            `ppd fsck %s`)\n"
-          reason path);
+          reason path));
     profile_write pout ptrace
   in
   let stats_cmd =
@@ -537,8 +530,7 @@ let log_cmd =
         done;
         Printf.printf "%s: v%d, %d bytes, %s\n" path (Store.Segment.version r)
           (Store.Segment.file_bytes r)
-          (if Store.Segment.version r = 1 then "marshal blob"
-           else if Store.Segment.is_indexed r then "interval index intact"
+          (if Store.Segment.is_indexed r then "interval index intact"
            else "recovered by salvage scan");
         Printf.printf "%d process(es), %d record(s), %d interval(s)\n"
           (Store.Segment.nprocs r)
@@ -556,7 +548,7 @@ let log_cmd =
             Printf.printf "damage at byte %d: %s\n"
               d.Store.Segment.dmg_offset d.Store.Segment.dmg_reason)
           (Store.Segment.damage r)
-      | exception Trace.Log_io.Unreadable { path; reason } ->
+      | exception Store.Segment.Unreadable { path; reason } ->
         die_unreadable ~path ~reason
     in
     Cmd.v
@@ -590,7 +582,7 @@ let log_cmd =
         no_verify =
       let prog = compile_or_die (read_source file) in
       match Store.Segment.open_file inpath with
-      | exception Trace.Log_io.Unreadable { path; reason } ->
+      | exception Store.Segment.Unreadable { path; reason } ->
         die_unreadable ~path ~reason
       | r ->
         let module L = Trace.Log in
@@ -683,13 +675,13 @@ let log_cmd =
     in
     let run path out =
       match Store.Segment.repair path ~out with
-      | exception Trace.Log_io.Unreadable { path; reason } ->
+      | exception Store.Segment.Unreadable { path; reason } ->
         die_unreadable ~path ~reason
       | rp ->
         Printf.printf
-          "%s: v%d %s tier -> %s: %d bytes, %d page(s), %d record(s), %d \
+          "%s: v2 %s tier -> %s: %d bytes, %d page(s), %d record(s), %d \
            checkpoint(s)\n"
-          path rp.Store.Segment.rp_version rp.Store.Segment.rp_tier out
+          path rp.Store.Segment.rp_tier out
           rp.Store.Segment.rp_out_bytes rp.Store.Segment.rp_kept_pages
           rp.Store.Segment.rp_kept_records rp.Store.Segment.rp_kept_ckpts;
         (match rp.Store.Segment.rp_dropped with
@@ -722,7 +714,7 @@ let log_cmd =
   let run_term =
     Term.(
       const run $ file_arg $ sched_arg $ steps_arg $ engine_arg $ inline_arg
-      $ loops_arg $ save_arg $ v1_arg $ log_mode_arg $ ckpt_every_arg
+      $ loops_arg $ save_arg $ log_mode_arg $ ckpt_every_arg
       $ fault_arg $ fault_seed_arg $ profile_out_arg $ profile_trace_arg)
   in
   Cmd.group ~default:run_term
@@ -746,14 +738,11 @@ let verify_log_cmd =
   let run path =
     match Store.Segment.verify path with
     | rp ->
-      Printf.printf "%s: v%d, %d bytes, %d record(s)%s%s\n" path
-        rp.Store.Segment.vr_version rp.Store.Segment.vr_bytes
-        rp.Store.Segment.vr_records
-        (if rp.Store.Segment.vr_version = 1 then ""
-         else Printf.sprintf " in %d page(s)" rp.Store.Segment.vr_pages)
-        (if rp.Store.Segment.vr_version = 1 then ""
-         else if rp.Store.Segment.vr_indexed then ", index intact"
-         else ", index unusable");
+      Printf.printf "%s: v2, %d bytes, %d record(s) in %d page(s), %s\n" path
+        rp.Store.Segment.vr_bytes rp.Store.Segment.vr_records
+        rp.Store.Segment.vr_pages
+        (if rp.Store.Segment.vr_indexed then "index intact"
+         else "index unusable");
       (match rp.Store.Segment.vr_damage with
       | [] -> print_endline "no damage detected"
       | dmg ->
@@ -763,7 +752,7 @@ let verify_log_cmd =
               d.Store.Segment.dmg_reason)
           dmg;
         exit 4)
-    | exception Trace.Log_io.Unreadable { path; reason } ->
+    | exception Store.Segment.Unreadable { path; reason } ->
       die_unreadable ~path ~reason
   in
   Cmd.v
@@ -792,7 +781,7 @@ let fsck_cmd =
   in
   let run path =
     match Store.Segment.fsck path with
-    | exception Trace.Log_io.Unreadable { path; reason } ->
+    | exception Store.Segment.Unreadable { path; reason } ->
       die_unreadable ~path ~reason
     | rp ->
       let page (p : Store.Segment.fsck_page) =
@@ -817,7 +806,7 @@ let fsck_cmd =
       Printf.printf
         "{\n\
         \  \"path\": %s,\n\
-        \  \"version\": %d,\n\
+        \  \"version\": 2,\n\
         \  \"bytes\": %d,\n\
         \  \"indexed\": %b,\n\
         \  \"clean\": %b,\n\
@@ -829,7 +818,7 @@ let fsck_cmd =
         \  \"pages\": %s,\n\
         \  \"damage\": %s\n\
          }\n"
-        (json_str path) rp.Store.Segment.fk_version rp.Store.Segment.fk_bytes
+        (json_str path) rp.Store.Segment.fk_bytes
         rp.Store.Segment.fk_indexed rp.Store.Segment.fk_clean
         (json_str rp.Store.Segment.fk_tier)
         rp.Store.Segment.fk_ckpts rp.Store.Segment.fk_procs
@@ -896,7 +885,7 @@ let flowback_cmd =
       let prog = compile_or_die (read_source file) in
       let eb = Analysis.Eblock.analyze ~policy:(policy_of ~loops inline) prog in
       match Store.Segment.open_file logpath with
-      | exception Trace.Log_io.Unreadable { path; reason } ->
+      | exception Store.Segment.Unreadable { path; reason } ->
         die_unreadable ~path ~reason
       | r ->
         Serve.Render.header
@@ -968,7 +957,7 @@ let replay_cmd =
       let prog = compile_or_die (read_source file) in
       let eb = Analysis.Eblock.analyze ~policy:(policy_of ~loops inline) prog in
       match Store.Segment.open_file logpath with
-      | exception Trace.Log_io.Unreadable { path; reason } ->
+      | exception Store.Segment.Unreadable { path; reason } ->
         die_unreadable ~path ~reason
       | r ->
         Serve.Render.header

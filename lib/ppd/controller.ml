@@ -371,7 +371,7 @@ let with_retries t (iv : L.interval) first =
 let reason_of_failure = function
   | Fault.Injected { site; kind } ->
     Printf.sprintf "injected %s fault at %s" (Fault.kind_to_string kind) site
-  | Trace.Log_io.Unreadable { reason; _ } ->
+  | Store.Segment.Unreadable { reason; _ } ->
     Printf.sprintf "log page damaged: %s" reason
   | Emulator.Replay_mismatch m -> Printf.sprintf "replay diverged: %s" m
   | e -> Printexc.to_string e
@@ -435,7 +435,7 @@ let build_interval (t : t) ~pid ~iv_id =
         end
         else o
       | exception
-          ((Fault.Injected _ | Trace.Log_io.Unreadable _
+          ((Fault.Injected _ | Store.Segment.Unreadable _
            | Emulator.Replay_mismatch _) as e)
         when t.config.degraded ->
         hole (reason_of_failure e)
@@ -670,7 +670,7 @@ let spawner_ref t (iv : L.interval) =
     with
     | L.Sync { data = L.S_proc_start { spawn; _ }; _ } -> spawn
     | _ -> None
-    | exception Trace.Log_io.Unreadable _ when t.config.degraded ->
+    | exception Store.Segment.Unreadable _ when t.config.degraded ->
       (* the sync record sits in a damaged page: the spawn link is lost,
          which degraded resolution treats like any other missing writer *)
       None

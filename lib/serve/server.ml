@@ -321,7 +321,7 @@ let guarded (f : unit -> J.t rpc_result) : J.t rpc_result =
           "replay watchdog: process %d interval %d exhausted the %d-step \
            budget (raise maxReplaySteps, or degraded:true to debug around it)"
           pid iv_id budget )
-  | exception Trace.Log_io.Unreadable { path; reason } ->
+  | exception Store.Segment.Unreadable { path; reason } ->
     Error ("PPD050", Printf.sprintf "%s is not a readable log: %s" path reason)
   | exception Ppd.Reconstruct.Divergence { reason } ->
     Error
@@ -518,7 +518,7 @@ let m_attach t s params =
               with
               | Ok e -> (h, spec, H_live e)
               | Error (code, msg) -> (h, spec, H_stale (code ^ ": " ^ msg))
-              | exception Trace.Log_io.Unreadable { path; reason } ->
+              | exception Store.Segment.Unreadable { path; reason } ->
                 (h, spec, H_stale (Printf.sprintf "%s: %s" path reason))
               | exception e -> (h, spec, H_stale (Printexc.to_string e)))
             r.Journal.rc_opens
@@ -746,7 +746,7 @@ let m_fsck _t _s params =
         (J.Obj
            [
              ("path", J.Str log);
-             ("version", J.Int rp.Store.Segment.fk_version);
+             ("version", J.Int 2);
              ("bytes", J.Int rp.Store.Segment.fk_bytes);
              ("indexed", J.Bool rp.Store.Segment.fk_indexed);
              ("clean", J.Bool rp.Store.Segment.fk_clean);

@@ -13,9 +13,20 @@ let trailer_len = 16 (* u64-le footer offset + trailer magic *)
    caches. *)
 let page_threshold = 4096
 
+exception Unreadable of { path : string; reason : string }
+
+let ppd050 ~path ~reason =
+  {
+    Lang.Diag.d_code = "PPD050";
+    d_severity = Lang.Diag.Sev_error;
+    d_loc = Lang.Loc.none;
+    d_message = Printf.sprintf "unreadable log %s: %s" path reason;
+    d_related = [];
+  }
+
 let unreadable path fmt =
   Printf.ksprintf
-    (fun reason -> raise (Trace.Log_io.Unreadable { path; reason }))
+    (fun reason -> raise (Unreadable { path; reason }))
     fmt
 
 (* ------------------------------------------------------------------ *)
@@ -722,8 +733,6 @@ type mem = {
 type backing = B_indexed of indexed | B_mem of mem
 
 type reader = {
-  r_path : string;
-  r_version : int;
   r_bytes : int;
   r_backing : backing;
 }
@@ -756,19 +765,21 @@ let fresh_shards () =
 let read_file path =
   try In_channel.with_open_bin path In_channel.input_all
   with Sys_error m ->
-    raise (Trace.Log_io.Unreadable { path; reason = m })
+    raise (Unreadable { path; reason = m })
 
-(* Returns the format version; raises on anything we cannot read. *)
+(* Refuses anything but the v2 magic. A legacy v1 file (a [Marshal]
+   blob, which is not type-safe on untrusted bytes) is refused on its
+   magic alone: no byte past it is ever read. *)
 let check_magic path raw =
   if String.length raw < 8 then
     unreadable path "file shorter than the 8-byte magic"
   else
     let hdr = String.sub raw 0 8 in
-    if String.equal hdr magic then 2
-    else if String.equal hdr Trace.Log_io.magic then 1
+    if String.equal hdr magic then ()
+    else if String.equal hdr "PPDLOG1\n" then
+      unreadable path "legacy v1 log, no longer readable"
     else if String.equal (String.sub hdr 0 6) "PPDLOG" then
-      unreadable path
-        "unsupported log format version '%c' (this build reads v1 and v2)"
+      unreadable path "unsupported log format version %C (this build reads v2)"
         hdr.[6]
     else unreadable path "not a PPD log file (bad magic)"
 
@@ -859,28 +870,15 @@ let indexed_backing ?budget path raw =
 
 let open_file ?budget path =
   let raw = read_file path in
-  match check_magic path raw with
-  | 1 ->
-    {
-      r_path = path;
-      r_version = 1;
-      r_bytes = String.length raw;
-      r_backing = mem_backing (Trace.Log_io.load path);
-    }
-  | _ ->
-    let backing =
-      match indexed_backing ?budget path raw with
-      | Some b -> b
-      | None -> salvage raw
-    in
-    {
-      r_path = path;
-      r_version = 2;
-      r_bytes = String.length raw;
-      r_backing = backing;
-    }
+  check_magic path raw;
+  let backing =
+    match indexed_backing ?budget path raw with
+    | Some b -> b
+    | None -> salvage raw
+  in
+  { r_bytes = String.length raw; r_backing = backing }
 
-let version r = r.r_version
+let version (_ : reader) = 2
 
 let file_bytes r = r.r_bytes
 
@@ -1153,7 +1151,7 @@ let load path =
   let r = open_file path in
   match to_log r with
   | log -> log
-  | exception Trace.Log_io.Unreadable _ when is_indexed r ->
+  | exception Unreadable _ when is_indexed r ->
     (* the index survived but some page did not: fall back to the
        forward scan and keep the longest valid prefix *)
     let r = { r with r_backing = salvage (read_file path) } in
@@ -1164,7 +1162,6 @@ let load path =
 (* ------------------------------------------------------------------ *)
 
 type report = {
-  vr_version : int;
   vr_bytes : int;
   vr_pages : int;
   vr_records : int;
@@ -1174,43 +1171,15 @@ type report = {
 
 let verify path =
   let raw = read_file path in
-  match check_magic path raw with
-  | 1 -> (
-    match Trace.Log_io.load path with
-    | log ->
-      {
-        vr_version = 1;
-        vr_bytes = String.length raw;
-        vr_pages = 0;
-        vr_records = L.entry_count log;
-        vr_indexed = false;
-        vr_damage = [];
-      }
-    | exception Trace.Log_io.Unreadable { reason; _ } ->
-      {
-        vr_version = 1;
-        vr_bytes = String.length raw;
-        vr_pages = 0;
-        vr_records = 0;
-        vr_indexed = false;
-        vr_damage =
-          [
-            {
-              dmg_offset = String.length Trace.Log_io.magic;
-              dmg_reason = reason;
-            };
-          ];
-      })
-  | _ ->
-    let sc = scan raw in
-    {
-      vr_version = 2;
-      vr_bytes = String.length raw;
-      vr_pages = sc.sc_pages;
-      vr_records = sc.sc_nentries;
-      vr_indexed = sc.sc_index <> None;
-      vr_damage = sc.sc_damage;
-    }
+  check_magic path raw;
+  let sc = scan raw in
+  {
+    vr_bytes = String.length raw;
+    vr_pages = sc.sc_pages;
+    vr_records = sc.sc_nentries;
+    vr_indexed = sc.sc_index <> None;
+    vr_damage = sc.sc_damage;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* fsck: exhaustive per-page damage report.                             *)
@@ -1231,7 +1200,6 @@ type fsck_page = {
 }
 
 type fsck_report = {
-  fk_version : int;
   fk_bytes : int;
   fk_indexed : bool;
   fk_tier : string;  (* "content" or "order" *)
@@ -1247,152 +1215,109 @@ type fsck_report = {
 let fsck path =
   let raw = read_file path in
   let bytes = String.length raw in
-  match check_magic path raw with
-  | 1 -> (
-    match Trace.Log_io.load path with
-    | log ->
-      let intervals = ref 0 in
-      for pid = 0 to log.L.nprocs - 1 do
-        intervals := !intervals + Array.length (L.intervals log ~pid)
-      done;
-      {
-        fk_version = 1;
-        fk_bytes = bytes;
-        fk_indexed = false;
-        fk_tier = L.tier_name log.L.tier;
-        fk_ckpts = Array.length log.L.ckpts;
-        fk_pages = [];
-        fk_damage = [];
-        fk_procs = log.L.nprocs;
-        fk_records = L.entry_count log;
-        fk_intervals = !intervals;
-        fk_clean = true;
-      }
-    | exception Trace.Log_io.Unreadable { reason; _ } ->
-      {
-        fk_version = 1;
-        fk_bytes = bytes;
-        fk_indexed = false;
-        fk_tier = "content";
-        fk_ckpts = 0;
-        fk_pages = [];
-        fk_damage =
-          [
-            {
-              dmg_offset = String.length Trace.Log_io.magic;
-              dmg_reason = reason;
-            };
-          ];
-        fk_procs = 0;
-        fk_records = 0;
-        fk_intervals = 0;
-        fk_clean = false;
-      })
-  | _ -> (
-    match indexed_backing path raw with
-    | Some (B_indexed ix) ->
-      (* index intact: check each indexed page individually *)
-      let pages = ref [] in
-      let bad = ref 0 in
-      let good_records = ref 0 in
-      Array.iteri
-        (fun pid px ->
-          Array.iteri
-            (fun page (off, count) ->
-              let error =
-                match parse_frame raw off with
-                | Ok (F_page { fpid; fentries; _ })
-                  when fpid = pid && Array.length fentries = count ->
-                  None
-                | Ok (F_page { fpid; fentries; _ }) ->
-                  Some
-                    (Printf.sprintf
-                       "holds %d entries of process %d, the index says %d of \
-                        process %d"
-                       (Array.length fentries) fpid count pid)
-                | Ok (F_footer _) -> Some "index points at the footer"
-                | Ok (F_ckpt _) -> Some "index points at a checkpoint frame"
-                | Error reason -> Some reason
-              in
-              (match error with
-              | None -> good_records := !good_records + count
-              | Some _ -> incr bad);
-              pages :=
-                {
-                  fp_pid = pid;
-                  fp_page = page;
-                  fp_offset = off;
-                  fp_count = count;
-                  fp_error = error;
-                }
-                :: !pages)
-            px.px_pages)
-        ix.ix_index;
-      {
-        fk_version = 2;
-        fk_bytes = bytes;
-        fk_indexed = true;
-        fk_tier = L.tier_name ix.ix_tier;
-        fk_ckpts = Array.length ix.ix_ckpts;
-        fk_pages = List.rev !pages;
-        fk_damage = [];
-        fk_procs = Array.length ix.ix_index;
-        fk_records = !good_records;
-        fk_intervals =
-          Array.fold_left
-            (fun a px -> a + Array.length px.px_blocks)
-            0 ix.ix_index;
-        fk_clean = !bad = 0;
-      }
-    | Some (B_mem _) | None ->
-      (* no usable index: the valid prefix is all we can vouch for *)
-      let sc = scan raw in
-      let pages = ref [] in
-      let per_pid = Hashtbl.create 8 in
-      let pos = ref (String.length magic) in
-      let stop = ref false in
-      while (not !stop) && !pos < bytes do
-        match parse_frame raw !pos with
-        | Ok (F_page { fpid; fentries; fnext }) ->
-          let ord =
-            match Hashtbl.find_opt per_pid fpid with Some n -> n | None -> 0
-          in
-          Hashtbl.replace per_pid fpid (ord + 1);
-          pages :=
-            {
-              fp_pid = fpid;
-              fp_page = ord;
-              fp_offset = !pos;
-              fp_count = Array.length fentries;
-              fp_error = None;
-            }
-            :: !pages;
-          pos := fnext
-        | Ok (F_ckpt { fnext; _ }) -> pos := fnext
-        | Ok (F_footer _) | Error _ -> stop := true
-      done;
-      let log =
-        match salvage raw with
-        | B_mem m -> m.bm_log
-        | B_indexed _ -> assert false
-      in
-      let intervals = ref 0 in
-      for pid = 0 to log.L.nprocs - 1 do
-        intervals := !intervals + Array.length (L.intervals log ~pid)
-      done;
-      {
-        fk_version = 2;
-        fk_bytes = bytes;
-        fk_indexed = false;
-        fk_tier = L.tier_name log.L.tier;
-        fk_ckpts = List.length sc.sc_ckpts;
-        fk_pages = List.rev !pages;
-        fk_damage = sc.sc_damage;
-        fk_procs = log.L.nprocs;
-        fk_records = sc.sc_nentries;
-        fk_intervals = !intervals;
-        fk_clean = sc.sc_damage = [];
-      })
+  check_magic path raw;
+  match indexed_backing path raw with
+  | Some (B_indexed ix) ->
+    (* index intact: check each indexed page individually *)
+    let pages = ref [] in
+    let bad = ref 0 in
+    let good_records = ref 0 in
+    Array.iteri
+      (fun pid px ->
+        Array.iteri
+          (fun page (off, count) ->
+            let error =
+              match parse_frame raw off with
+              | Ok (F_page { fpid; fentries; _ })
+                when fpid = pid && Array.length fentries = count ->
+                None
+              | Ok (F_page { fpid; fentries; _ }) ->
+                Some
+                  (Printf.sprintf
+                     "holds %d entries of process %d, the index says %d of \
+                      process %d"
+                     (Array.length fentries) fpid count pid)
+              | Ok (F_footer _) -> Some "index points at the footer"
+              | Ok (F_ckpt _) -> Some "index points at a checkpoint frame"
+              | Error reason -> Some reason
+            in
+            (match error with
+            | None -> good_records := !good_records + count
+            | Some _ -> incr bad);
+            pages :=
+              {
+                fp_pid = pid;
+                fp_page = page;
+                fp_offset = off;
+                fp_count = count;
+                fp_error = error;
+              }
+              :: !pages)
+          px.px_pages)
+      ix.ix_index;
+    {
+      fk_bytes = bytes;
+      fk_indexed = true;
+      fk_tier = L.tier_name ix.ix_tier;
+      fk_ckpts = Array.length ix.ix_ckpts;
+      fk_pages = List.rev !pages;
+      fk_damage = [];
+      fk_procs = Array.length ix.ix_index;
+      fk_records = !good_records;
+      fk_intervals =
+        Array.fold_left
+          (fun a px -> a + Array.length px.px_blocks)
+          0 ix.ix_index;
+      fk_clean = !bad = 0;
+    }
+  | Some (B_mem _) | None ->
+    (* no usable index: the valid prefix is all we can vouch for *)
+    let sc = scan raw in
+    let pages = ref [] in
+    let per_pid = Hashtbl.create 8 in
+    let pos = ref (String.length magic) in
+    let stop = ref false in
+    while (not !stop) && !pos < bytes do
+      match parse_frame raw !pos with
+      | Ok (F_page { fpid; fentries; fnext }) ->
+        let ord =
+          match Hashtbl.find_opt per_pid fpid with Some n -> n | None -> 0
+        in
+        Hashtbl.replace per_pid fpid (ord + 1);
+        pages :=
+          {
+            fp_pid = fpid;
+            fp_page = ord;
+            fp_offset = !pos;
+            fp_count = Array.length fentries;
+            fp_error = None;
+          }
+          :: !pages;
+        pos := fnext
+      | Ok (F_ckpt { fnext; _ }) -> pos := fnext
+      | Ok (F_footer _) | Error _ -> stop := true
+    done;
+    let log =
+      match salvage raw with
+      | B_mem m -> m.bm_log
+      | B_indexed _ -> assert false
+    in
+    let intervals = ref 0 in
+    for pid = 0 to log.L.nprocs - 1 do
+      intervals := !intervals + Array.length (L.intervals log ~pid)
+    done;
+    {
+      fk_bytes = bytes;
+      fk_indexed = false;
+      fk_tier = L.tier_name log.L.tier;
+      fk_ckpts = List.length sc.sc_ckpts;
+      fk_pages = List.rev !pages;
+      fk_damage = sc.sc_damage;
+      fk_procs = log.L.nprocs;
+      fk_records = sc.sc_nentries;
+      fk_intervals = !intervals;
+      fk_clean = sc.sc_damage = [];
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Repair: rewrite everything salvageable into a fresh verified log.   *)
@@ -1417,7 +1342,6 @@ type repair_drop = {
 }
 
 type repair_report = {
-  rp_version : int;
   rp_tier : string;
   rp_kept_pages : int;
   rp_kept_records : int;
@@ -1428,46 +1352,50 @@ type repair_report = {
 
 let repair path ~out =
   let raw = read_file path in
-  match check_magic path raw with
-  | 1 ->
-    (* v1 is all-or-nothing Marshal: loadable means nothing to drop *)
-    let log = Trace.Log_io.load path in
+  check_magic path raw;
+  let finish (log : L.t) ~kept_pages ~dropped =
     save out log;
     {
-      rp_version = 1;
       rp_tier = L.tier_name log.L.tier;
-      rp_kept_pages = 0;
+      rp_kept_pages = kept_pages;
       rp_kept_records = L.entry_count log;
       rp_kept_ckpts = Array.length log.L.ckpts;
-      rp_dropped = [];
+      rp_dropped = List.rev dropped;
       rp_out_bytes = (read_file out |> String.length);
     }
-  | _ ->
-    let finish (log : L.t) ~kept_pages ~dropped =
-      save out log;
-      {
-        rp_version = 2;
-        rp_tier = L.tier_name log.L.tier;
-        rp_kept_pages = kept_pages;
-        rp_kept_records = L.entry_count log;
-        rp_kept_ckpts = Array.length log.L.ckpts;
-        rp_dropped = List.rev dropped;
-        rp_out_bytes = (read_file out |> String.length);
-      }
-    in
-    (match indexed_backing path raw with
-    | Some (B_indexed ix) ->
-      let dropped = ref [] in
-      let kept_pages = ref 0 in
-      let entries =
-        Array.mapi
-          (fun pid px ->
-            let kept = ref [] in
-            let broken = ref None in
-            Array.iteri
-              (fun page (off, count) ->
-                match !broken with
-                | Some first_bad ->
+  in
+  match indexed_backing path raw with
+  | Some (B_indexed ix) ->
+    let dropped = ref [] in
+    let kept_pages = ref 0 in
+    let entries =
+      Array.mapi
+        (fun pid px ->
+          let kept = ref [] in
+          let broken = ref None in
+          Array.iteri
+            (fun page (off, count) ->
+              match !broken with
+              | Some first_bad ->
+                dropped :=
+                  {
+                    rd_pid = pid;
+                    rd_page = page;
+                    rd_offset = off;
+                    rd_records = count;
+                    rd_reason =
+                      Printf.sprintf
+                        "follows damaged page %d of this process" first_bad;
+                  }
+                  :: !dropped
+              | None -> (
+                match parse_frame raw off with
+                | Ok (F_page { fpid; fentries; _ })
+                  when fpid = pid && Array.length fentries = count ->
+                  incr kept_pages;
+                  kept := fentries :: !kept
+                | Ok (F_page { fpid; fentries; _ }) ->
+                  broken := Some page;
                   dropped :=
                     {
                       rd_pid = pid;
@@ -1476,91 +1404,72 @@ let repair path ~out =
                       rd_records = count;
                       rd_reason =
                         Printf.sprintf
-                          "follows damaged page %d of this process" first_bad;
+                          "holds %d entries of process %d, the index says \
+                           %d of process %d"
+                          (Array.length fentries) fpid count pid;
                     }
                     :: !dropped
-                | None -> (
-                  match parse_frame raw off with
-                  | Ok (F_page { fpid; fentries; _ })
-                    when fpid = pid && Array.length fentries = count ->
-                    incr kept_pages;
-                    kept := fentries :: !kept
-                  | Ok (F_page { fpid; fentries; _ }) ->
-                    broken := Some page;
-                    dropped :=
-                      {
-                        rd_pid = pid;
-                        rd_page = page;
-                        rd_offset = off;
-                        rd_records = count;
-                        rd_reason =
-                          Printf.sprintf
-                            "holds %d entries of process %d, the index says \
-                             %d of process %d"
-                            (Array.length fentries) fpid count pid;
-                      }
-                      :: !dropped
-                  | Ok (F_footer _ | F_ckpt _) ->
-                    broken := Some page;
-                    dropped :=
-                      {
-                        rd_pid = pid;
-                        rd_page = page;
-                        rd_offset = off;
-                        rd_records = count;
-                        rd_reason = "index points at a non-page frame";
-                      }
-                      :: !dropped
-                  | Error reason ->
-                    broken := Some page;
-                    dropped :=
-                      {
-                        rd_pid = pid;
-                        rd_page = page;
-                        rd_offset = off;
-                        rd_records = count;
-                        rd_reason = reason;
-                      }
-                      :: !dropped))
-              px.px_pages;
-            (Array.concat (List.rev !kept), !broken = None))
-          ix.ix_index
-      in
-      let stops =
-        Array.mapi
-          (fun pid (es, intact) ->
-            (* a truncated process recomputes its stop from what
-               survived; an intact one keeps the recorded stop *)
-            if intact then ix.ix_index.(pid).px_stop
-            else Array.fold_left (fun a e -> max a (L.entry_seq_at e + 1)) 0 es)
-          entries
-      in
-      let log =
-        {
-          L.nprocs = Array.length ix.ix_index;
-          entries = Array.map fst entries;
-          stops;
-          tier = ix.ix_tier;
-          ckpts = ix.ix_ckpts;
-        }
-      in
-      finish log ~kept_pages:!kept_pages ~dropped:!dropped
-    | Some (B_mem _) | None ->
-      let sc = scan raw in
-      let backing = salvage raw in
-      let log =
-        match backing with B_mem m -> m.bm_log | B_indexed _ -> assert false
-      in
-      let dropped =
-        List.map
-          (fun d ->
-            {
-              rd_pid = -1;
-              rd_page = -1;
-              rd_offset = d.dmg_offset;
-              rd_records = 0;
-              rd_reason = d.dmg_reason;
-            })
-          sc.sc_damage
-      in
-      finish log ~kept_pages:sc.sc_pages ~dropped:(List.rev dropped))
+                | Ok (F_footer _ | F_ckpt _) ->
+                  broken := Some page;
+                  dropped :=
+                    {
+                      rd_pid = pid;
+                      rd_page = page;
+                      rd_offset = off;
+                      rd_records = count;
+                      rd_reason = "index points at a non-page frame";
+                    }
+                    :: !dropped
+                | Error reason ->
+                  broken := Some page;
+                  dropped :=
+                    {
+                      rd_pid = pid;
+                      rd_page = page;
+                      rd_offset = off;
+                      rd_records = count;
+                      rd_reason = reason;
+                    }
+                    :: !dropped))
+            px.px_pages;
+          (Array.concat (List.rev !kept), !broken = None))
+        ix.ix_index
+    in
+    let stops =
+      Array.mapi
+        (fun pid (es, intact) ->
+          (* a truncated process recomputes its stop from what
+             survived; an intact one keeps the recorded stop *)
+          if intact then ix.ix_index.(pid).px_stop
+          else Array.fold_left (fun a e -> max a (L.entry_seq_at e + 1)) 0 es)
+        entries
+    in
+    let log =
+      {
+        L.nprocs = Array.length ix.ix_index;
+        entries = Array.map fst entries;
+        stops;
+        tier = ix.ix_tier;
+        ckpts = ix.ix_ckpts;
+      }
+    in
+    finish log ~kept_pages:!kept_pages ~dropped:!dropped
+  | Some (B_mem _) | None ->
+    let sc = scan raw in
+    let backing = salvage raw in
+    let log =
+      match backing with B_mem m -> m.bm_log | B_indexed _ -> assert false
+    in
+    let dropped =
+      List.map
+        (fun d ->
+          {
+            rd_pid = -1;
+            rd_page = -1;
+            rd_offset = d.dmg_offset;
+            rd_records = 0;
+            rd_reason = d.dmg_reason;
+          })
+        sc.sc_damage
+    in
+    finish log ~kept_pages:sc.sc_pages ~dropped:(List.rev dropped)

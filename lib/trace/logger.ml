@@ -315,10 +315,7 @@ let finish t =
       (fun pid es ->
         Obs.add
           (Obs.counter (Printf.sprintf "trace.pid%d.entries" pid))
-          (Array.length es);
-        Obs.add
-          (Obs.counter (Printf.sprintf "trace.pid%d.log_bytes" pid))
-          (String.length (Marshal.to_string es [])))
+          (Array.length es))
       entries;
   {
     Log.nprocs = t.nprocs;

@@ -15,6 +15,11 @@
 #  4. The same truncation contract over an order-tier log (sync order +
 #     checkpoint frames + tier footer), and cross-tier flowback
 #     identity on the intact file.
+#  5. `ppd log repair` salvages every damage shape, and a SIGKILLed
+#     daemon resumes and re-answers byte-identically.
+#  6. XOR every byte of a content and an order segment with 0x01, 0x80
+#     and 0xff: every loader exits with a documented code, never on a
+#     signal, and a legacy v1 file is PPD050 everywhere.
 #
 # Every damage report must carry the EXACT absolute offset of the
 # enclosing frame start: re-truncating at the reported offset must
@@ -387,3 +392,90 @@ kill -TERM "$daemon_pid" 2>/dev/null || true
 wait "$daemon_pid" 2>/dev/null || true
 daemon_pid=""
 echo "chaos: daemon SIGKILL -> --resume -> byte-identical re-query ok"
+
+# -------------------------------------------------------------------
+# 6. Byte-flip sweep over both tiers and all six loaders: verify-log,
+#    log stats, fsck, log repair, flowback --load and the daemon's
+#    open over `ppd serve --rpc`. No run may end on a signal, every
+#    exit code must be one of the documented 0, 4, 6 and 8, and the
+#    daemon must answer a ping after every open. A legacy v1 file
+#    ("PPDLOG1\n" + payload) is PPD050 from every one of them.
+# -------------------------------------------------------------------
+python3 - "$PPD" "$dir" <<'PYEOF'
+import json, os, subprocess, sys
+
+ppd, d = sys.argv[1], sys.argv[2]
+mpl = os.path.join(d, "fig61.mpl")
+victim = os.path.join(d, "flipped.log")
+repaired = os.path.join(d, "flipped.repaired")
+documented = {0, 4, 6, 8}
+
+
+def cli(args):
+    p = subprocess.run([ppd] + args, capture_output=True, errors="replace")
+    return p.returncode, p.stderr
+
+
+def daemon(path):
+    lines = [
+        {"id": 1, "method": "open", "params": {"log": path, "program": mpl}},
+        {"id": 2, "method": "ping"},
+    ]
+    p = subprocess.run(
+        [ppd, "serve", "--rpc", "-j", "1"],
+        input="".join(json.dumps(l) + "\n" for l in lines),
+        capture_output=True,
+        errors="replace",
+    )
+    resp = [json.loads(l) for l in p.stdout.splitlines()]
+    if len(resp) != 2 or "result" not in resp[1]:
+        sys.exit(f"chaos: daemon stopped answering after open ({p.returncode})")
+    err = resp[0].get("error")
+    return p.returncode, err["code"] if err else ""
+
+
+def loaders(path):
+    if os.path.exists(repaired):
+        os.remove(repaired)
+    yield "verify-log", cli(["verify-log", path])
+    yield "log stats", cli(["log", "stats", path])
+    yield "fsck", cli(["fsck", path])
+    yield "log repair", cli(["log", "repair", path, "-o", repaired])
+    yield "flowback --load", cli(["flowback", mpl, "--load", path])
+    yield "serve open", daemon(path)
+
+
+def check(what, name, code):
+    if code < 0:
+        sys.exit(f"chaos: {name} ended on signal {-code} ({what})")
+    if code not in documented:
+        sys.exit(f"chaos: {name} exited {code} ({what})")
+
+
+runs = 0
+for tier in ("run.log", "order.log"):
+    raw = open(os.path.join(d, tier), "rb").read()
+    for i in range(len(raw)):
+        for mask in (0x01, 0x80, 0xFF):
+            b = bytearray(raw)
+            b[i] ^= mask
+            open(victim, "wb").write(b)
+            for name, (code, _) in loaders(victim):
+                check(f"{tier} byte {i} xor {mask:#04x}", name, code)
+                runs += 1
+
+raw = open(os.path.join(d, "run.log"), "rb").read()
+for payload in (b"", raw[:64], raw):
+    open(victim, "wb").write(b"PPDLOG1\n" + payload)
+    for name, (code, diag) in loaders(victim):
+        if name == "serve open":
+            ok = code == 0 and diag == "PPD050"
+        else:
+            ok = code == 6 and "PPD050" in diag and "legacy v1" in diag
+        if not ok:
+            sys.exit(f"chaos: {name} did not refuse a v1 file with PPD050")
+    if os.path.exists(repaired):
+        sys.exit("chaos: log repair wrote output for a v1 file")
+
+print(f"chaos: byte-flip sweep ok ({runs} runs, no signal; v1 refused by all)")
+PYEOF

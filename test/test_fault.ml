@@ -323,9 +323,9 @@ let test_truncation_sweep_degraded_debug () =
         (match S.fsck path with
         | rp -> Alcotest.(check bool) "truncation is never clean" false
                   rp.S.fk_clean
-        | exception Trace.Log_io.Unreadable _ -> ());
+        | exception Store.Segment.Unreadable _ -> ());
         match S.open_file path with
-        | exception Trace.Log_io.Unreadable _ -> ()
+        | exception Store.Segment.Unreadable _ -> ()
         | r ->
           let ctl = C.start_paged ~config:degraded eb r in
           for pid = 0 to S.nprocs r - 1 do
@@ -336,19 +336,19 @@ let test_truncation_sweep_degraded_debug () =
       done)
 
 (* -------------------------------------------------------------- *)
-(* Satellite: v1 loader maps any decode failure to PPD050 *)
+(* Any v1-magic or truncated-magic input maps to PPD050, never escapes *)
 
 let expect_unreadable name path =
-  match Trace.Log_io.load path with
+  match S.load path with
   | _ -> Alcotest.failf "%s: expected Unreadable" name
-  | exception Trace.Log_io.Unreadable { reason; _ } ->
-    Alcotest.(check bool) (name ^ " has a reason") true (reason <> "")
+  | exception S.Unreadable { path; reason } ->
+    Alcotest.(check bool) (name ^ " has a reason") true (reason <> "");
+    Alcotest.(check string) (name ^ " code") "PPD050"
+      (S.ppd050 ~path ~reason).Lang.Diag.d_code
 
 let test_v1_garbage_is_ppd050 () =
   with_tmp (fun path ->
-      (* valid v1 magic, garbage payload: Marshal raises something other
-         than End_of_file/Failure on many inputs — all must map to
-         Unreadable, never escape *)
+      (* valid v1 magic, garbage payload: refused on the magic alone *)
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc "PPDLOG1\n";
           Out_channel.output_string oc

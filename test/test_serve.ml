@@ -466,6 +466,39 @@ let test_shared_cache_across_sessions () =
       Server.end_session srv s2;
       Server.shutdown srv)
 
+(* `open` on a legacy v1 file is a PPD050 error response, and the daemon
+   keeps answering another session's v2 handle byte-identically. *)
+let test_v1_open_refused () =
+  with_fixture (fun ~mpl ~seg ->
+      let srv = Server.create () in
+      let s1 = Server.session srv in
+      let h1 = open_handle srv s1 ~mpl ~seg in
+      let before = flowback_result srv s1 ~h:h1 ~id:2 in
+      let s2 = Server.session srv in
+      List.iteri
+        (fun i (name, image) ->
+          let v1 = Filename.temp_file "serve_v1" ".log" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove v1)
+            (fun () ->
+              Out_channel.with_open_bin v1 (fun oc ->
+                  Out_channel.output_string oc image);
+              let line =
+                Server.handle_line srv s2
+                  (open_line ~id:(10 + i) ~mpl ~seg:v1 ())
+              in
+              Alcotest.(check string) (name ^ " code") "PPD050"
+                (error_code_of line);
+              Alcotest.(check bool) (name ^ " says legacy") true
+                (Util.contains ~sub:"legacy v1 log, no longer readable" line)))
+        (Util.legacy_v1_images ());
+      let after = flowback_result srv s1 ~h:h1 ~id:3 in
+      Alcotest.(check string) "co-tenant answer byte-identical"
+        (jstr before "output") (jstr after "output");
+      Server.end_session srv s1;
+      Server.end_session srv s2;
+      Server.shutdown srv)
+
 let test_replay_parallel_matches_serial () =
   with_fixture (fun ~mpl ~seg ->
       let serial = Server.create () in
@@ -843,6 +876,8 @@ let suite =
       Alcotest.test_case "open-log quota" `Quick test_open_quota;
       Alcotest.test_case "shared cache across sessions" `Quick
         test_shared_cache_across_sessions;
+      Alcotest.test_case "open refuses a v1 log, co-tenants unharmed" `Quick
+        test_v1_open_refused;
       Alcotest.test_case "-j4 replay byte-identical" `Quick
         test_replay_parallel_matches_serial;
       Alcotest.test_case "watchdog, degraded, caps" `Quick

@@ -35,7 +35,7 @@ let roundtrip_prop =
           S.save path log;
           let log' = S.load path in
           let r = S.verify path in
-          log' = log && r.S.vr_version = 2 && r.S.vr_indexed
+          log' = log && r.S.vr_indexed
           && r.S.vr_damage = []
           && r.S.vr_records = L.entry_count log))
 
@@ -74,26 +74,62 @@ let test_streamed_equals_memory () =
       Alcotest.(check bool) "index intact" true r.S.vr_indexed;
       Alcotest.(check bool) "no damage" true (r.S.vr_damage = []))
 
-let test_v1_still_readable () =
-  let _eb, log = run_log Workloads.fig61 in
-  with_tmp (fun path ->
-      Trace.Log_io.save path log;
-      check_log_equal "v1 file loads through the store" log (S.load path);
-      let r = S.verify path in
-      Alcotest.(check int) "reported as v1" 1 r.S.vr_version;
-      Alcotest.(check bool) "v1 verifies clean" true (r.S.vr_damage = []))
-
 let test_measure_matches_disk () =
-  (* satellite: Log_io.measure must report the exact on-disk byte count *)
+  (* encoded_size must report the exact on-disk byte count *)
   let _eb, log = run_log (Workloads.counter ~workers:2 ~incs:5 ~mutex:true) in
   with_tmp (fun path ->
-      Trace.Log_io.save path log;
+      S.save path log;
       let size =
         In_channel.with_open_bin path (fun ic ->
             Int64.to_int (In_channel.length ic))
       in
-      Alcotest.(check int) "measure = v1 file size" size
-        (Trace.Log_io.measure log))
+      Alcotest.(check int) "encoded_size = file size" size
+        (S.encoded_size log))
+
+(* A legacy v1 file is refused with PPD050 by every loader, whatever
+   follows its magic; repair writes nothing. Other format versions are
+   refused as unsupported. *)
+let test_v1_refused () =
+  let refused name what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: %s accepted the file" name what
+    | exception S.Unreadable { path; reason } ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: %s code" name what)
+        "PPD050" (S.ppd050 ~path ~reason).Lang.Diag.d_code;
+      reason
+  in
+  let write path image =
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc image)
+  in
+  List.iter
+    (fun (name, image) ->
+      with_tmp (fun path ->
+          write path image;
+          let out = path ^ ".repaired" in
+          List.iter
+            (fun (what, f) ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s: %s reason" name what)
+                "legacy v1 log, no longer readable" (refused name what f))
+            [
+              ("open_file", fun () -> ignore (S.open_file path));
+              ("load", fun () -> ignore (S.load path));
+              ("verify", fun () -> ignore (S.verify path));
+              ("fsck", fun () -> ignore (S.fsck path));
+              ("repair", fun () -> ignore (S.repair path ~out));
+            ];
+          Alcotest.(check bool) (name ^ ": repair wrote nothing") false
+            (Sys.file_exists out)))
+    (Util.legacy_v1_images ());
+  with_tmp (fun path ->
+      write path "PPDLOG3\n";
+      let reason =
+        refused "PPDLOG3" "open_file" (fun () -> ignore (S.open_file path))
+      in
+      Alcotest.(check bool) "other versions: this build reads v2" true
+        (Util.contains ~sub:"this build reads v2" reason))
 
 (* -------------------------------------------------------------- *)
 (* Crash recovery *)
@@ -143,7 +179,7 @@ let test_truncation_salvage () =
       (* cutting into the magic makes the file unreadable, not garbage *)
       cut 5;
       (match S.load path with
-      | exception Trace.Log_io.Unreadable _ -> ()
+      | exception Store.Segment.Unreadable _ -> ()
       | _ -> Alcotest.fail "expected Unreadable on a 5-byte file"))
 
 let test_byte_flip_always_detected () =
@@ -164,14 +200,14 @@ let test_byte_flip_always_detected () =
         Out_channel.with_open_bin path (fun oc ->
             Out_channel.output_bytes oc b);
         (match S.verify path with
-        | exception Trace.Log_io.Unreadable _ -> ()
+        | exception Store.Segment.Unreadable _ -> ()
         | r ->
           Alcotest.(check bool)
             (Printf.sprintf "flip at %d detected" i)
             true
             (r.S.vr_damage <> []));
         match S.load path with
-        | exception Trace.Log_io.Unreadable _ -> ()
+        | exception Store.Segment.Unreadable _ -> ()
         | salvaged ->
           Alcotest.(check bool)
             (Printf.sprintf "flip at %d never mis-decodes" i)
@@ -303,8 +339,8 @@ let suite =
         test_fixed_corpus_roundtrip;
       Alcotest.test_case "streamed sink = in-memory log" `Quick
         test_streamed_equals_memory;
-      Alcotest.test_case "v1 readable through the store" `Quick
-        test_v1_still_readable;
+      Alcotest.test_case "v1 magic refused by every loader" `Quick
+        test_v1_refused;
       Alcotest.test_case "measure matches disk size" `Quick
         test_measure_matches_disk;
       Alcotest.test_case "truncation salvages longest prefix" `Quick

@@ -152,3 +152,21 @@ let check_replay_equivalence ?(expect_mismatch = false) eb log tr =
 let qtest ?(count = 50) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)
+
+(* Byte images of legacy v1 logs: the magic "PPDLOG1\n" followed by an
+   empty or arbitrary payload, by the OCaml [Marshal] blob of the fig61
+   log, and by that blob with byte 26 XORed with 0x01 (a corruption the
+   old [Marshal] loader crashed on). Every loader must refuse them all
+   on the magic alone. *)
+let legacy_v1_images () =
+  let _eb, _h, log, _tr, _m = run_instrumented Workloads.fig61 in
+  let blob = "PPDLOG1\n" ^ Marshal.to_string log [] in
+  let flipped = Bytes.of_string blob in
+  Bytes.set flipped 26 (Char.chr (Char.code blob.[26] lxor 0x01));
+  [
+    ("empty payload", "PPDLOG1\n");
+    ( "arbitrary payload",
+      "PPDLOG1\n" ^ String.init 64 (fun i -> Char.chr (i * 7 mod 256)) );
+    ("marshalled fig61 log", blob);
+    ("byte 26 xor 0x01", Bytes.to_string flipped);
+  ]
