@@ -1038,8 +1038,19 @@ let t13_fixture () =
   Store.Segment.Writer.close w;
   (mpl, seg)
 
+(* The [open] request every daemon bench starts its session with. *)
+let open_request ~seg ~mpl =
+  Json.to_string
+    (Json.Obj
+       [
+         ("id", Json.Int 1);
+         ("method", Json.Str "open");
+         ( "params",
+           Json.Obj [ ("log", Json.Str seg); ("program", Json.Str mpl) ] );
+       ])
+
 let t13_jint v name =
-  match Option.bind (Serve.Json.member name v) Serve.Json.to_int with
+  match Option.bind (Json.member name v) Json.to_int with
   | Some i -> i
   | None -> 0
 
@@ -1076,25 +1087,19 @@ let t13_rows () =
             let s = Serve.Server.session srv in
             let say line = Serve.Server.handle_line srv s line in
             let parse resp =
-              match Serve.Json.parse resp with
+              match Json.parse resp with
               | Ok v ->
-                if Serve.Json.member "error" v <> None then begin
+                if Json.member "error" v <> None then begin
                   Atomic.incr errors;
                   None
                 end
-                else Serve.Json.member "result" v
+                else Json.member "result" v
               | Error _ ->
                 Atomic.incr errors;
                 None
             in
             let h =
-              let r =
-                parse
-                  (say
-                     (Printf.sprintf
-                        {|{"id":1,"method":"open","params":{"log":%S,"program":%S}}|}
-                        seg mpl))
-              in
+              let r = parse (say (open_request ~seg ~mpl)) in
               match r with Some r -> t13_jint r "handle" | None -> -1
             in
             let my_lats = ref [] in
@@ -1138,11 +1143,11 @@ let t13_rows () =
                 {|{"id":1,"method":"serverStats"}|}
             in
             Serve.Server.end_session srv s0;
-            match Serve.Json.parse resp with
+            match Json.parse resp with
             | Ok v -> (
               match
-                Option.bind (Serve.Json.member "result" v)
-                  (Serve.Json.member "gate")
+                Option.bind (Json.member "result" v)
+                  (Json.member "gate")
               with
               | Some g -> t13_jint g "shed"
               | None -> 0)
@@ -1385,131 +1390,107 @@ let t16 () =
     \      synchronous-product exploration — it may never be smaller)"
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission (for the CI perf gate; no external JSON dependency).   *)
+(* JSON emission (for the CI perf gate): one row -> one JSON object.    *)
 (* ------------------------------------------------------------------ *)
 
-let jfloat f = if Float.is_nan f then "null" else Printf.sprintf "%.9g" f
+let t1_json r =
+  Json.Obj
+    [
+      ("workload", Json.Str r.t1_name);
+      ("steps", Json.Int r.t1_steps);
+      ("interp_bare_ns", Json.Float r.t1_interp_bare_ns);
+      ("interp_logged_ns", Json.Float r.t1_interp_logged_ns);
+      ("vm_bare_ns", Json.Float r.t1_vm_bare_ns);
+      ("vm_instr_ns", Json.Float r.t1_vm_instr_ns);
+      ("vm_logged_ns", Json.Float r.t1_vm_logged_ns);
+    ]
 
-let t1_json () =
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun r ->
-           Printf.sprintf
-             "{\"workload\":%S,\"steps\":%d,\"interp_bare_ns\":%s,\
-              \"interp_logged_ns\":%s,\"vm_bare_ns\":%s,\"vm_instr_ns\":%s,\
-              \"vm_logged_ns\":%s}"
-             r.t1_name r.t1_steps
-             (jfloat r.t1_interp_bare_ns)
-             (jfloat r.t1_interp_logged_ns)
-             (jfloat r.t1_vm_bare_ns)
-             (jfloat r.t1_vm_instr_ns)
-             (jfloat r.t1_vm_logged_ns))
-         (t1_rows ()))
-  ^ "]"
+let t9_json r =
+  Json.Obj
+    [
+      ("workload", Json.Str r.t9_name);
+      ("entries", Json.Int r.t9_entries);
+      ("v2_bytes", Json.Int r.t9_v2_bytes);
+      ("v2_save_ns", Json.Float r.t9_v2_save_ns);
+      ("v2_load_ns", Json.Float r.t9_v2_load_ns);
+      ("v2_open_ns", Json.Float r.t9_v2_open_ns);
+    ]
 
-let t9_json () =
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun r ->
-           Printf.sprintf
-             "{\"workload\":%S,\"entries\":%d,\"v2_bytes\":%d,\
-              \"v2_save_ns\":%s,\"v2_load_ns\":%s,\"v2_open_ns\":%s}"
-             r.t9_name r.t9_entries r.t9_v2_bytes
-             (jfloat r.t9_v2_save_ns) (jfloat r.t9_v2_load_ns)
-             (jfloat r.t9_v2_open_ns))
-         (t9_rows ()))
-  ^ "]"
+let t10_json r =
+  let run tr =
+    Json.Obj
+      [
+        ("jobs", Json.Int tr.tr_jobs);
+        ("domains", Json.Int tr.tr_domains);
+        ("seconds", Json.Float tr.tr_seconds);
+      ]
+  in
+  Json.Obj
+    [
+      ("workload", Json.Str r.tn_name);
+      ("intervals", Json.Int r.tn_intervals);
+      ("identical", Json.Bool r.tn_identical);
+      ("runs", Json.List (List.map run r.tn_runs));
+    ]
 
-let t10_json () =
-  let rows = t10_rows () in
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun r ->
-           Printf.sprintf
-             "{\"workload\":%S,\"intervals\":%d,\"identical\":%b,\"runs\":[%s]}"
-             r.tn_name r.tn_intervals r.tn_identical
-             (String.concat ","
-                (List.map
-                   (fun tr ->
-                     Printf.sprintf
-                       "{\"jobs\":%d,\"domains\":%d,\"seconds\":%s}" tr.tr_jobs
-                       tr.tr_domains (jfloat tr.tr_seconds))
-                   r.tn_runs)))
-         rows)
-  ^ "]"
+let t11_json r =
+  Json.Obj
+    [
+      ("workload", Json.Str r.te_name);
+      ("bare_ns", Json.Float r.te_bare_ns);
+      ("off_ns", Json.Float r.te_off_ns);
+      ("on_ns", Json.Float r.te_on_ns);
+    ]
 
-let t11_json () =
-  Printf.sprintf "{\"disabled_op_ns\":%s,\"rows\":[%s]}"
-    (jfloat (t11_disabled_op_ns ()))
-    (String.concat ","
-       (List.map
-          (fun r ->
-            Printf.sprintf
-              "{\"workload\":%S,\"bare_ns\":%s,\"off_ns\":%s,\"on_ns\":%s}"
-              r.te_name (jfloat r.te_bare_ns) (jfloat r.te_off_ns)
-              (jfloat r.te_on_ns))
-          (t11_rows ())))
+let t12_json r =
+  Json.Obj
+    [
+      ("workload", Json.Str r.tf_name);
+      ("off_ns", Json.Float r.tf_off_ns);
+      ("armed_ns", Json.Float r.tf_armed_ns);
+    ]
 
-let t12_json () =
-  Printf.sprintf "{\"disabled_op_ns\":%s,\"rows\":[%s]}"
-    (jfloat (t12_disabled_op_ns ()))
-    (String.concat ","
-       (List.map
-          (fun r ->
-            Printf.sprintf "{\"workload\":%S,\"off_ns\":%s,\"armed_ns\":%s}"
-              r.tf_name (jfloat r.tf_off_ns) (jfloat r.tf_armed_ns))
-          (t12_rows ())))
+let t13_json r =
+  Json.Obj
+    [
+      ("sessions", Json.Int r.td_sessions);
+      ("requests", Json.Int r.td_requests);
+      ("errors", Json.Int r.td_errors);
+      ("p50_ns", Json.Float r.td_p50_ns);
+      ("p99_ns", Json.Float r.td_p99_ns);
+      ("hits", Json.Int r.td_hits);
+      ("misses", Json.Int r.td_misses);
+      ("hit_rate", Json.Float r.td_hit_rate);
+      ("shed", Json.Int r.td_shed);
+    ]
 
-let t13_json () =
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun r ->
-           Printf.sprintf
-             "{\"sessions\":%d,\"requests\":%d,\"errors\":%d,\
-              \"p50_ns\":%s,\"p99_ns\":%s,\"hits\":%d,\"misses\":%d,\
-              \"hit_rate\":%s,\"shed\":%d}"
-             r.td_sessions r.td_requests r.td_errors (jfloat r.td_p50_ns)
-             (jfloat r.td_p99_ns) r.td_hits r.td_misses
-             (jfloat r.td_hit_rate) r.td_shed)
-         (t13_rows ()))
-  ^ "]"
+let t14_json r =
+  Json.Obj
+    [
+      ("workload", Json.Str r.tv_name);
+      ("sync_heavy", Json.Bool r.tv_sync_heavy);
+      ("steps", Json.Int r.tv_steps);
+      ("content_bytes", Json.Int r.tv_content_bytes);
+      ("order_bytes", Json.Int r.tv_order_bytes);
+      ("checkpoints", Json.Int r.tv_ckpts);
+      ("identity", Json.Bool r.tv_identity);
+      ("recon_ns", Json.Float r.tv_recon_ns);
+      ("fb_content_ns", Json.Float r.tv_fb_content_ns);
+      ("fb_order_ns", Json.Float r.tv_fb_order_ns);
+      ("scan_full", Json.Int r.tv_scan_full);
+      ("scan_ckpt", Json.Int r.tv_scan_ckpt);
+    ]
 
-let t14_json () =
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun r ->
-           Printf.sprintf
-             "{\"workload\":%S,\"sync_heavy\":%b,\"steps\":%d,\
-              \"content_bytes\":%d,\"order_bytes\":%d,\"checkpoints\":%d,\
-              \"identity\":%b,\"recon_ns\":%s,\"fb_content_ns\":%s,\
-              \"fb_order_ns\":%s,\"scan_full\":%d,\"scan_ckpt\":%d}"
-             r.tv_name r.tv_sync_heavy r.tv_steps r.tv_content_bytes
-             r.tv_order_bytes r.tv_ckpts r.tv_identity (jfloat r.tv_recon_ns)
-             (jfloat r.tv_fb_content_ns)
-             (jfloat r.tv_fb_order_ns)
-             r.tv_scan_full r.tv_scan_ckpt)
-         (t14_rows ()))
-  ^ "]"
-
-let t16_json () =
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun r ->
-           Printf.sprintf
-             "{\"workload\":%S,\"states\":%d,\"analyze_ns\":%s,\
-              \"conflicting\":%d,\"discharged_base\":%d,\
-              \"discharged_proto\":%d}"
-             r.tp_name r.tp_states
-             (jfloat r.tp_analyze_ns)
-             r.tp_conflicting r.tp_base r.tp_proto)
-         (t16_rows ()))
-  ^ "]"
+let t16_json r =
+  Json.Obj
+    [
+      ("workload", Json.Str r.tp_name);
+      ("states", Json.Int r.tp_states);
+      ("analyze_ns", Json.Float r.tp_analyze_ns);
+      ("conflicting", Json.Int r.tp_conflicting);
+      ("discharged_base", Json.Int r.tp_base);
+      ("discharged_proto", Json.Int r.tp_proto);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* T17: daemon survivability (DESIGN §17) — deadline refusals,          *)
@@ -1569,13 +1550,13 @@ let t17_poison seg =
       Out_channel.output_string oc (Bytes.to_string b))
 
 let t17_err_code resp =
-  match Serve.Json.parse resp with
+  match Json.parse resp with
   | Ok v ->
     Option.map
       (fun e ->
         Option.value ~default:"?"
-          (Option.bind (Serve.Json.member "code" e) Serve.Json.to_str))
-      (Serve.Json.member "error" v)
+          (Option.bind (Json.member "code" e) Json.to_str))
+      (Json.member "error" v)
   | Error _ -> Some "unparseable"
 
 (* One client session: open a handle on [seg], issue [requests]
@@ -1585,15 +1566,10 @@ let t17_client srv ~mpl ~seg ~requests ~params acc =
   let s = Serve.Server.session srv in
   let say line = Serve.Server.handle_line srv s line in
   let h =
-    let resp =
-      say
-        (Printf.sprintf
-           {|{"id":1,"method":"open","params":{"log":%S,"program":%S}}|} seg
-           mpl)
-    in
-    match Serve.Json.parse resp with
+    let resp = say (open_request ~seg ~mpl) in
+    match Json.parse resp with
     | Ok v -> (
-      match Serve.Json.member "result" v with
+      match Json.member "result" v with
       | Some r -> t13_jint r "handle"
       | None -> -1)
     | Error _ -> -1
@@ -1643,8 +1619,8 @@ let t17_stats srv =
     Serve.Server.handle_line srv s {|{"id":1,"method":"serverStats"}|}
   in
   Serve.Server.end_session srv s;
-  match Serve.Json.parse resp with
-  | Ok v -> Serve.Json.member "result" v
+  match Json.parse resp with
+  | Ok v -> Json.member "result" v
   | Error _ -> None
 
 let t17_config =
@@ -1729,9 +1705,9 @@ let t17_rows () =
         List.iter Thread.join ths;
         let trips, fast =
           match
-            Option.bind (t17_stats srv) (Serve.Json.member "breakers")
+            Option.bind (t17_stats srv) (Json.member "breakers")
           with
-          | Some (Serve.Json.List bs) ->
+          | Some (Json.List bs) ->
             List.fold_left
               (fun (t, f) b ->
                 (t + t13_jint b "trips", f + t13_jint b "fastFails"))
@@ -1753,11 +1729,7 @@ let t17_rows () =
         let srv0 = Serve.Server.create ~config:t17_config ~journal:jpath () in
         let s0 = Serve.Server.session srv0 in
         let say0 line = Serve.Server.handle_line srv0 s0 line in
-        ignore
-          (say0
-             (Printf.sprintf
-                {|{"id":1,"method":"open","params":{"log":%S,"program":%S}}|}
-                seg mpl));
+        ignore (say0 (open_request ~seg ~mpl));
         ignore (say0 {|{"id":2,"method":"flowback","params":{"handle":1,"depth":2}}|});
         let dead = ref (Serve.Server.session_id s0) in
         let cycles = 5 in
@@ -1796,7 +1768,7 @@ let t17_rows () =
         let srv = Serve.Server.create ~config () in
         let acc = t17_acc () in
         let mem_of () =
-          match Option.bind (t17_stats srv) (Serve.Json.member "memory") with
+          match Option.bind (t17_stats srv) (Json.member "memory") with
           | Some m -> (t13_jint m "budgetCap", t13_jint m "budgetUsed")
           | None -> (0, 0)
         in
@@ -1823,11 +1795,7 @@ let t17_rows () =
         Thread.join monitor;
         (* the settled reading, with the caches still referenced *)
         let s = Serve.Server.session srv in
-        ignore
-          (Serve.Server.handle_line srv s
-             (Printf.sprintf
-                {|{"id":1,"method":"open","params":{"log":%S,"program":%S}}|}
-                seg mpl));
+        ignore (Serve.Server.handle_line srv s (open_request ~seg ~mpl));
         ignore
           (Serve.Server.handle_line srv s
              {|{"id":2,"method":"flowback","params":{"handle":1,"depth":2}}|});
@@ -1866,22 +1834,17 @@ let t17 () =
     \      errors must stay zero, and check_t17 gates the healthy p99 beside\n\
     \      the poisoned co-tenant at 2x the baseline)"
 
-let t17_json () =
-  "["
-  ^ String.concat ","
-      (List.map
-         (fun r ->
-           Printf.sprintf
-             "{\"scenario\":%S,\"requests\":%d,\"errors\":%d,\"refused\":%d,\
-              \"p50_ns\":%s,\"p99_ns\":%s%s}"
-             r.tz_scenario r.tz_requests r.tz_errors r.tz_refused
-             (jfloat r.tz_p50_ns) (jfloat r.tz_p99_ns)
-             (String.concat ""
-                (List.map
-                   (fun (k, v) -> Printf.sprintf ",%S:%d" k v)
-                   r.tz_aux)))
-         (t17_rows ()))
-  ^ "]"
+let t17_json r =
+  Json.Obj
+    ([
+       ("scenario", Json.Str r.tz_scenario);
+       ("requests", Json.Int r.tz_requests);
+       ("errors", Json.Int r.tz_errors);
+       ("refused", Json.Int r.tz_refused);
+       ("p50_ns", Json.Float r.tz_p50_ns);
+       ("p99_ns", Json.Float r.tz_p99_ns);
+     ]
+    @ List.map (fun (k, v) -> (k, Json.Int v)) r.tz_aux)
 
 (* ------------------------------------------------------------------ *)
 (* Figures.                                                             *)
@@ -1947,16 +1910,24 @@ let experiments =
    one top-level object, a field per table, plus the host core count so
    downstream gates can tell whether a speedup was even possible. *)
 let json_experiments =
+  let table rows row () = Json.List (List.map row (rows ())) in
+  let with_disabled op_ns rows row () =
+    Json.Obj
+      [
+        ("disabled_op_ns", Json.Float (op_ns ()));
+        ("rows", table rows row ());
+      ]
+  in
   [
-    ("t1", t1_json);
-    ("t9", t9_json);
-    ("t10", t10_json);
-    ("t11", t11_json);
-    ("t12", t12_json);
-    ("t13", t13_json);
-    ("t14", t14_json);
-    ("t16", t16_json);
-    ("t17", t17_json);
+    ("t1", table t1_rows t1_json);
+    ("t9", table t9_rows t9_json);
+    ("t10", table t10_rows t10_json);
+    ("t11", with_disabled t11_disabled_op_ns t11_rows t11_json);
+    ("t12", with_disabled t12_disabled_op_ns t12_rows t12_json);
+    ("t13", table t13_rows t13_json);
+    ("t14", table t14_rows t14_json);
+    ("t16", table t16_rows t16_json);
+    ("t17", table t17_rows t17_json);
   ]
 
 let () =
@@ -1993,13 +1964,12 @@ let () =
       exit 1
     end;
     let fields =
-      List.map
-        (fun r -> Printf.sprintf "%S:%s" r ((List.assoc r json_experiments) ()))
-        requested
+      List.map (fun r -> (r, (List.assoc r json_experiments) ())) requested
     in
-    Printf.printf "{\"host_cores\":%d,%s}\n"
-      (Exec.Pool.default_jobs ())
-      (String.concat "," fields)
+    print_endline
+      (Json.to_string
+         (Json.Obj
+            (("host_cores", Json.Int (Exec.Pool.default_jobs ())) :: fields)))
   end
   else begin
     let selected =

@@ -251,7 +251,7 @@ let ctl_config_of degraded max_replay_steps =
 
 let profile_write pout ptrace =
   (match pout with
-  | Some "-" -> print_string (Obs.to_json ())
+  | Some "-" -> print_string (Json.to_string (Obs.to_json ()))
   | Some path ->
     Obs.write_json path;
     Printf.printf "profile written to %s\n" path
@@ -763,69 +763,12 @@ let verify_log_cmd =
     Term.(const run $ log_path_arg)
 
 let fsck_cmd =
-  let json_str s =
-    let b = Buffer.create (String.length s + 2) in
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"';
-    Buffer.contents b
-  in
   let run path =
     match Store.Segment.fsck path with
     | exception Store.Segment.Unreadable { path; reason } ->
       die_unreadable ~path ~reason
     | rp ->
-      let page (p : Store.Segment.fsck_page) =
-        Printf.sprintf
-          "    {\"pid\": %d, \"page\": %d, \"offset\": %d, \"count\": %d, \
-           \"error\": %s}"
-          p.Store.Segment.fp_pid p.Store.Segment.fp_page
-          p.Store.Segment.fp_offset p.Store.Segment.fp_count
-          (match p.Store.Segment.fp_error with
-          | None -> "null"
-          | Some e -> json_str e)
-      in
-      let dmg (d : Store.Segment.damage) =
-        Printf.sprintf "    {\"offset\": %d, \"reason\": %s}"
-          d.Store.Segment.dmg_offset
-          (json_str d.Store.Segment.dmg_reason)
-      in
-      let arr = function
-        | [] -> "[]"
-        | rows -> "[\n" ^ String.concat ",\n" rows ^ "\n  ]"
-      in
-      Printf.printf
-        "{\n\
-        \  \"path\": %s,\n\
-        \  \"version\": 2,\n\
-        \  \"bytes\": %d,\n\
-        \  \"indexed\": %b,\n\
-        \  \"clean\": %b,\n\
-        \  \"tier\": %s,\n\
-        \  \"checkpoints\": %d,\n\
-        \  \"procs\": %d,\n\
-        \  \"records\": %d,\n\
-        \  \"intervals\": %d,\n\
-        \  \"pages\": %s,\n\
-        \  \"damage\": %s\n\
-         }\n"
-        (json_str path) rp.Store.Segment.fk_bytes
-        rp.Store.Segment.fk_indexed rp.Store.Segment.fk_clean
-        (json_str rp.Store.Segment.fk_tier)
-        rp.Store.Segment.fk_ckpts rp.Store.Segment.fk_procs
-        rp.Store.Segment.fk_records
-        rp.Store.Segment.fk_intervals
-        (arr (List.map page rp.Store.Segment.fk_pages))
-        (arr (List.map dmg rp.Store.Segment.fk_damage));
+      print_endline (Json.to_string (Serve.Render.fsck_json ~path rp));
       if not rp.Store.Segment.fk_clean then exit 4
   in
   Cmd.v
@@ -1025,20 +968,6 @@ let proto_cmd =
       & info [ "no-replay" ]
           ~doc:"Skip guided-replay validation of deadlock certificates.")
   in
-  let json_str s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    "\"" ^ Buffer.contents b ^ "\""
-  in
   let run file format dot budget bound no_replay =
     let p = compile_or_die (read_source file) in
     let r = Analysis.Proto.analyze ~budget ~bound p in
@@ -1082,54 +1011,58 @@ let proto_cmd =
           | Some m -> snd (Analysis.Proto.discharged_pairs p m)
         in
         let cert_json (c, res) =
-          let steps =
-            List.map
-              (fun (s : Analysis.Proto.step) ->
-                Printf.sprintf "{\"cls\":%d,\"sid\":%d,\"act\":%s}"
-                  s.st_cls s.st_sid
-                  (json_str
-                     (Format.asprintf "%a" (Analysis.Proto.pp_step p) s)))
-              c.Analysis.Proto.cert_steps
+          let step (s : Analysis.Proto.step) =
+            Json.Obj
+              [
+                ("cls", Json.Int s.st_cls);
+                ("sid", Json.Int s.st_sid);
+                ( "act",
+                  Json.Str (Format.asprintf "%a" (Analysis.Proto.pp_step p) s)
+                );
+              ]
           in
-          let confirmed, detail =
+          let confirmed =
             match res with
-            | None -> ("null", [])
+            | None -> [ ("confirmed", Json.Null) ]
             | Some (Runtime.Cert_replay.Confirmed { schedule; _ }) ->
-              ( "true",
-                [
-                  Printf.sprintf "\"schedule\":[%s]"
-                    (String.concat ","
-                       (List.map string_of_int schedule));
-                ] )
+              [
+                ("confirmed", Json.Bool true);
+                ( "schedule",
+                  Json.List (List.map (fun i -> Json.Int i) schedule) );
+              ]
             | Some (Runtime.Cert_replay.Diverged why) ->
-              ("false", [ Printf.sprintf "\"diverged\":%s" (json_str why) ])
+              [ ("confirmed", Json.Bool false); ("diverged", Json.Str why) ]
           in
-          Printf.sprintf "{%s}"
-            (String.concat ","
-               ([
-                  Printf.sprintf "\"kind\":%s"
-                    (json_str (Analysis.Proto.kind_name c.cert_kind));
-                  Printf.sprintf "\"steps\":[%s]" (String.concat "," steps);
-                  Printf.sprintf "\"confirmed\":%s" confirmed;
-                ]
-               @ detail))
+          Json.Obj
+            ([
+               ( "kind",
+                 Json.Str (Analysis.Proto.kind_name c.Analysis.Proto.cert_kind)
+               );
+               ("steps", Json.List (List.map step c.Analysis.Proto.cert_steps));
+             ]
+            @ confirmed)
         in
-        Printf.printf
-          "{\"verdict\":%s,\"states_full\":%d,\"states_reduced\":%d,\
-           \"truncated\":%b,\"certificates\":[%s],\"facts\":%d,\
-           \"orphan_sends\":%d,\"dead_recvs\":%d,\"sem_leaks\":%d,\
-           \"conflicting_pairs\":%d,\"discharged_base\":%d,\
-           \"discharged_proto\":%d}\n"
-          (json_str (Analysis.Proto.verdict_name r.Analysis.Proto.verdict))
-          r.Analysis.Proto.stats.states_full
-          r.Analysis.Proto.stats.states_reduced
-          r.Analysis.Proto.stats.truncated
-          (String.concat "," (List.map cert_json replayed))
-          (List.length r.Analysis.Proto.facts)
-          (List.length r.Analysis.Proto.orphan_sends)
-          (List.length r.Analysis.Proto.dead_recvs)
-          (List.length r.Analysis.Proto.sem_leaks)
-          base_c base_d ref_d);
+        let n xs = Json.Int (List.length xs) in
+        print_endline
+          (Json.to_string
+             (Json.Obj
+                [
+                  ( "verdict",
+                    Json.Str
+                      (Analysis.Proto.verdict_name r.Analysis.Proto.verdict) );
+                  ("states_full", Json.Int r.Analysis.Proto.stats.states_full);
+                  ( "states_reduced",
+                    Json.Int r.Analysis.Proto.stats.states_reduced );
+                  ("truncated", Json.Bool r.Analysis.Proto.stats.truncated);
+                  ("certificates", Json.List (List.map cert_json replayed));
+                  ("facts", n r.Analysis.Proto.facts);
+                  ("orphan_sends", n r.Analysis.Proto.orphan_sends);
+                  ("dead_recvs", n r.Analysis.Proto.dead_recvs);
+                  ("sem_leaks", n r.Analysis.Proto.sem_leaks);
+                  ("conflicting_pairs", Json.Int base_c);
+                  ("discharged_base", Json.Int base_d);
+                  ("discharged_proto", Json.Int ref_d);
+                ])));
       if certs <> [] then exit 5
     end
   in
@@ -1823,17 +1756,7 @@ let () =
         (Array.append [| a.(0) |] (Array.sub a rest (Array.length a - rest)))
     in
     let code = Cmd.eval ~argv:inner main_cmd in
-    (match !out with
-    | Some "-" -> print_string (Obs.to_json ())
-    | Some path ->
-      Obs.write_json path;
-      Printf.printf "profile written to %s\n" path
-    | None -> ());
-    (match !trc with
-    | Some path ->
-      Obs.write_chrome_trace path;
-      Printf.printf "trace written to %s\n" path
-    | None -> ());
+    profile_write !out !trc;
     exit code
   end
   else exit (Cmd.eval ~argv:(rewrite_log a) main_cmd)

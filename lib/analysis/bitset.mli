@@ -31,8 +31,6 @@ val union_into : dst:t -> t -> bool
 (** [union_into ~dst src] adds [src] to [dst]; returns [true] iff [dst]
     changed. The primitive used by fixpoint loops. *)
 
-val inter_into : dst:t -> t -> unit
-
 val diff_into : dst:t -> t -> unit
 (** [diff_into ~dst src] removes every element of [src] from [dst]. *)
 

@@ -92,9 +92,6 @@ let nnodes t = Array.length t.kinds
 
 let kind t n = t.kinds.(n)
 
-let stmt_of_node t n =
-  match t.kinds.(n) with Stmt s -> Some s | Entry | Exit -> None
-
 let succ_ids t n = List.map fst t.succs.(n)
 
 let pred_ids t n = List.map fst t.preds.(n)

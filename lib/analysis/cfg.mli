@@ -27,8 +27,6 @@ val nnodes : t -> int
 
 val kind : t -> int -> node_kind
 
-val stmt_of_node : t -> int -> Lang.Prog.stmt option
-
 val succ_ids : t -> int -> int list
 
 val pred_ids : t -> int -> int list

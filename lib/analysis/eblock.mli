@@ -34,8 +34,6 @@ type policy = {
           re-executing the loops"); [0] disables loop e-blocks *)
 }
 
-val default_policy : policy
-
 type t = {
   prog : Lang.Prog.t;
   policy : policy;
@@ -88,8 +86,6 @@ val sync_prelog_vars_at_entry : t -> fid:int -> Lang.Prog.var list
 (** Shared variables read by the unit starting at [fid]'s ENTRY. These
     are already covered by the e-block prelog when [fid] is an e-block,
     but inlined functions still need them at call time. *)
-
-val stmt_count : Lang.Prog.func -> int
 
 val pp_summary : Format.formatter -> t -> unit
 (** One line per function: e-block?, |prelog|, |postlog|. *)

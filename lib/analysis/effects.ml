@@ -340,9 +340,6 @@ let states_of t sid =
   if sid < 0 || sid >= Array.length t.states_of_sid then []
   else t.states_of_sid.(sid)
 
-let aut_of_class t cls =
-  Option.map (fun i -> t.auts.(i)) (Hashtbl.find_opt t.by_class cls)
-
 let ntrans a = Array.fold_left (fun n l -> n + List.length l) 0 a.au_out
 
 let pp p ppf t =

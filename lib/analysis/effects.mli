@@ -61,8 +61,6 @@ val states_of : t -> int -> (int * int) list
 (** The (automaton index, state) pairs whose region covers this sid;
     empty for statements outside every live class. *)
 
-val aut_of_class : t -> int -> aut option
-
 val ntrans : aut -> int
 
 val pp_action : Lang.Prog.t -> Format.formatter -> action -> unit

@@ -53,6 +53,3 @@ val run : ?only:string list -> Lang.Prog.t -> Lang.Diag.diagnostic list
 (** Run the selected passes (default: all) and return the findings in
     stable order. Raises {!Unknown_pass} for a name not in
     {!pass_names}. *)
-
-val make_ctx : Lang.Prog.t -> ctx
-(** Build the shared pass context (CFGs + {!Mhp.compute}) once. *)

@@ -1,7 +1,7 @@
 (** Statement-level may-happen-in-parallel analysis.
 
-    The function-granular view of {!Static_race.concurrent_functions}
-    ignores every ordering the program text pins down: a [join] orders
+    A function-granular view (may two functions run in overlapping
+    processes?) ignores every ordering the program text pins down: a [join] orders
     the spawner's subsequent statements after the whole child process, a
     matched [send]/[recv] pair orders everything before the send before
     everything after the receive, and a [V]/[P] pair on a
@@ -96,11 +96,6 @@ val class_of_join : t -> int -> int option
 (** The live class a [join] at [sid] is matched to (via the unique
     reaching spawn of its handle), if any. *)
 
-val solo_fid : t -> int -> bool
-(** Is [fid] run by exactly one live class, at most one instance at a
-    time, at most once per instance? Single-invocation CFG reasoning
-    then extends to whole-execution claims. *)
-
 val cfgs : t -> Cfg.t array
 (** The per-fid CFGs the analysis was built over (shared, do not
     mutate); lets the protocol tier avoid rebuilding them. *)
@@ -111,7 +106,8 @@ val refine :
     [chains] are must-ordered (pre_sid, post_sid) pairs — everything
     before [pre_sid] happens-before everything after [post_sid] — added
     to the chain set and re-closed under transitive composition (pairs
-    whose functions are not {!solo_fid} are dropped: the chain claim
+    whose functions are not solo — run by one live class, one instance
+    at a time, once per instance — are dropped: the chain claim
     would not extend to the whole execution); [not_parallel sa sb] is a
     {e must}-exclusion oracle (e.g. product-level co-reachability)
     consulted as a final veto in {!may_parallel}. Both must be sound

@@ -165,81 +165,6 @@ let shared_accesses (p : P.t) =
     p.funcs;
   List.rev !out
 
-(* Functions transitively reachable through calls from [fid]. *)
-let call_closure (cg : Callgraph.t) fid =
-  let n = Array.length cg.Callgraph.calls in
-  let seen = Array.make n false in
-  let rec go f =
-    if not seen.(f) then begin
-      seen.(f) <- true;
-      List.iter go cg.Callgraph.calls.(f)
-    end
-  in
-  go fid;
-  seen
-
-let concurrent_functions (p : P.t) =
-  let cg = Callgraph.compute p in
-  let nf = Array.length p.funcs in
-  (* spawn multiplicity: number of spawn statements per root, with a
-     spawn inside a loop counting as many *)
-  let spawn_count = Array.make nf 0 in
-  Array.iter
-    (fun (f : P.func) ->
-      let rec walk in_loop stmts =
-        List.iter
-          (fun (s : P.stmt) ->
-            match s.desc with
-            | P.Sspawn (_, c) ->
-              spawn_count.(c.callee) <-
-                spawn_count.(c.callee) + if in_loop then 2 else 1
-            | P.Sif (_, t, e) ->
-              walk in_loop t;
-              walk in_loop e
-            | P.Swhile (_, b) -> walk true b
-            | _ -> ())
-          stmts
-      in
-      walk false f.body)
-    p.funcs;
-  let roots =
-    List.filter (fun fid -> spawn_count.(fid) > 0) (List.init nf Fun.id)
-  in
-  let closures = Hashtbl.create 8 in
-  let closure fid =
-    match Hashtbl.find_opt closures fid with
-    | Some c -> c
-    | None ->
-      let c = call_closure cg fid in
-      Hashtbl.replace closures fid c;
-      c
-  in
-  let main_cl = closure p.main_fid in
-  fun f g ->
-    let pairs =
-      List.concat_map
-        (fun r1 ->
-          let c1 = closure r1 in
-          (* against main's process *)
-          ((fun a b -> (c1.(a) && main_cl.(b)) || (c1.(b) && main_cl.(a)))
-          ::
-          (* against itself when spawned more than once *)
-          (if spawn_count.(r1) >= 2 then [ (fun a b -> c1.(a) && c1.(b)) ]
-           else [])
-          @ (* against the other roots *)
-          List.filter_map
-            (fun r2 ->
-              if r2 <= r1 then None
-              else
-                let c2 = closure r2 in
-                Some
-                  (fun a b ->
-                    (c1.(a) && c2.(b)) || (c1.(b) && c2.(a))))
-            roots))
-        roots
-    in
-    List.exists (fun pred -> pred f g) pairs
-
 let analyze ?mhp (p : P.t) =
   let accesses = shared_accesses p in
   let mhp = match mhp with Some m -> m | None -> Mhp.compute p in

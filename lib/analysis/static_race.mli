@@ -8,8 +8,8 @@
 
     - the statements may happen in parallel per {!Mhp} (spawn/join
       structure, matched send/recv pairs and must-ordered V→P edges all
-      discharge pairs the old function-granular
-      {!concurrent_functions} closure had to keep),
+      discharge pairs an older function-granular call-closure view
+      had to keep),
     - at least one is a write, and
     - no semaphore is {e must-held} around both (an intraprocedural
       lockset analysis: a semaphore is held at a statement when every
@@ -55,11 +55,6 @@ val held_at : ?summaries:summaries -> Lang.Prog.t -> Cfg.t -> int -> int list
 (** Semaphores must-held at the entry of a CFG node (exposed for
     tests). Without [summaries], any call conservatively clobbers every
     lock. *)
-
-val concurrent_functions : Lang.Prog.t -> (int -> int -> bool)
-(** Legacy function-granular view: may functions [f] and [g] (by fid)
-    run in distinct processes that overlap in time? Kept for comparison
-    and the benchmark ablation; {!analyze} now uses {!Mhp} instead. *)
 
 val analyze : ?mhp:Mhp.t -> Lang.Prog.t -> report list
 (** All potential races, deduplicated and deterministically ordered.

@@ -1,7 +1,7 @@
-(* Hand-rolled JSON (no external dependency): the wire format of the
-   serve protocol. The parser is strict — malformed input must become a
-   PPD080 error response, never an exception escaping the read loop —
-   so every failure path returns [Error reason]. *)
+(* The one JSON codec: every JSON writer builds a [t] and prints it
+   here. The parser is strict — malformed input must become a PPD080
+   error response, never an exception escaping the read loop — so
+   every failure path returns [Error reason]. *)
 
 type t =
   | Null
@@ -37,8 +37,9 @@ let rec emit b = function
   | Bool true -> Buffer.add_string b "true"
   | Bool false -> Buffer.add_string b "false"
   | Int i -> Buffer.add_string b (string_of_int i)
+  | Float f when not (Float.is_finite f) -> Buffer.add_string b "null"
   | Float f ->
-    (* keep floats round-trippable but compact; JSON has no NaN/inf *)
+    (* keep floats round-trippable but compact *)
     if Float.is_integer f && Float.abs f < 1e15 then
       Buffer.add_string b (Printf.sprintf "%.1f" f)
     else Buffer.add_string b (Printf.sprintf "%.17g" f)
@@ -266,18 +267,15 @@ let parse_number st =
     digits ()
   | _ -> ());
   let text = String.sub st.s start (st.pos - start) in
-  if !is_float then
+  (* an integer literal too large for native int is kept as a float;
+     one too large even for that (1e999) has no JSON value *)
+  match (if !is_float then None else int_of_string_opt text) with
+  | Some i -> Int i
+  | None -> (
     match float_of_string_opt text with
-    | Some f -> Float f
-    | None -> raise (Bad "invalid number")
-  else
-    match int_of_string_opt text with
-    | Some i -> Int i
-    | None -> (
-      (* integer literal too large for native int: keep it as a float *)
-      match float_of_string_opt text with
-      | Some f -> Float f
-      | None -> raise (Bad "invalid number"))
+    | Some f when Float.is_finite f -> Float f
+    | Some _ -> raise (Bad "number out of range")
+    | None -> raise (Bad "invalid number"))
 
 let rec parse_value st depth =
   if depth > max_depth then raise (Bad "nesting too deep");
@@ -359,5 +357,3 @@ let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
 let to_int = function Int i -> Some i | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None
-
-let to_bool = function Bool b -> Some b | _ -> None

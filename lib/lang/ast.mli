@@ -86,12 +86,8 @@ and func = {
 
 type program = topdecl list
 
-val expr_equal : expr -> expr -> bool
-(** Structural equality ignoring locations. *)
-
-val stmt_equal : stmt -> stmt -> bool
-
 val program_equal : program -> program -> bool
+(** Structural equality ignoring locations. *)
 
 val pp_unop : Format.formatter -> unop -> unit
 

@@ -72,6 +72,8 @@ let count c severity =
 
 let is_empty c = c.diags = []
 
+(* One finding, ["CODE severity at LINE:COL: MSG"], plus indented
+   related locations. *)
 let pp_diagnostic ppf d =
   Format.fprintf ppf "@[<v2>%s %a at %a: %s" d.d_code pp_severity d.d_severity
     Loc.pp d.d_loc d.d_message;
@@ -92,49 +94,42 @@ let pp_human ppf diags =
       (List.length diags) (n_of Sev_error) (n_of Sev_warning) (n_of Sev_note)
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering (hand-rolled: no JSON dependency).                    *)
+(* JSON rendering.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_loc (l : Loc.t) =
-  if Loc.is_none l then "null"
-  else Printf.sprintf "{\"line\":%d,\"col\":%d}" l.line l.col
-
-let json_of_diagnostic d =
+let json_diag d =
+  let loc (l : Loc.t) =
+    if Loc.is_none l then Json.Null
+    else Json.Obj [ ("line", Json.Int l.line); ("col", Json.Int l.col) ]
+  in
   let related =
     match d.d_related with
-    | [] -> ""
+    | [] -> []
     | rs ->
-      Printf.sprintf ",\"related\":[%s]"
-        (String.concat ","
-           (List.map
-              (fun (loc, msg) ->
-                Printf.sprintf "{\"loc\":%s,\"message\":\"%s\"}" (json_loc loc)
-                  (json_escape msg))
-              rs))
+      [
+        ( "related",
+          Json.List
+            (List.map
+               (fun (l, msg) ->
+                 Json.Obj [ ("loc", loc l); ("message", Json.Str msg) ])
+               rs) );
+      ]
   in
-  Printf.sprintf
-    "{\"code\":\"%s\",\"severity\":\"%s\",\"loc\":%s,\"message\":\"%s\"%s}"
-    (json_escape d.d_code)
-    (severity_label d.d_severity)
-    (json_loc d.d_loc) (json_escape d.d_message) related
+  Json.Obj
+    ([
+       ("code", Json.Str d.d_code);
+       ("severity", Json.Str (severity_label d.d_severity));
+       ("loc", loc d.d_loc);
+       ("message", Json.Str d.d_message);
+     ]
+    @ related)
+
+let json_of_diagnostic d = Json.to_string (json_diag d)
 
 let json_of_diagnostics diags =
-  Printf.sprintf "{\"findings\":[%s],\"count\":%d}"
-    (String.concat "," (List.map json_of_diagnostic diags))
-    (List.length diags)
+  Json.to_string
+    (Json.Obj
+       [
+         ("findings", Json.List (List.map json_diag diags));
+         ("count", Json.Int (List.length diags));
+       ])

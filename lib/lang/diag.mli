@@ -64,14 +64,6 @@ val count : collector -> severity -> int
 
 val is_empty : collector -> bool
 
-val severity_label : severity -> string
-
-val pp_severity : Format.formatter -> severity -> unit
-
-val pp_diagnostic : Format.formatter -> diagnostic -> unit
-(** One finding: ["CODE severity at LINE:COL: MSG"] plus indented
-    related locations. *)
-
 val pp_human : Format.formatter -> diagnostic list -> unit
 (** Full report: one line per finding plus a severity tally, or
     ["no findings"]. *)

@@ -5,10 +5,6 @@
 
 val pp_expr : Format.formatter -> Ast.expr -> unit
 
-val pp_stmt : Format.formatter -> Ast.stmt -> unit
-
-val pp_program : Format.formatter -> Ast.program -> unit
-
 val expr_to_string : Ast.expr -> string
 
 val program_to_string : Ast.program -> string

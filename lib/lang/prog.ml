@@ -69,8 +69,6 @@ type t = {
   vars : var array;
 }
 
-let func_of_stmt p sid = p.funcs.(p.stmt_fid.(sid))
-
 let find_func p name =
   Array.find_opt (fun f -> String.equal f.fname name) p.funcs
 

@@ -95,9 +95,6 @@ type t = {
   vars : var array;  (** indexed by [vid] *)
 }
 
-val func_of_stmt : t -> int -> func
-(** [func_of_stmt p sid] is the function containing statement [sid]. *)
-
 val find_func : t -> string -> func option
 (** Look a function up by name. *)
 
@@ -124,9 +121,6 @@ val stmt_label : stmt -> string
     ["(d > 0)"], ["P(mutex)"]. *)
 
 val pp_expr : Format.formatter -> expr -> unit
-
-val pp_stmt_head : Format.formatter -> stmt -> unit
-(** One-line rendering of a statement without its nested bodies. *)
 
 val iter_stmts : (stmt -> unit) -> stmt list -> unit
 (** Pre-order traversal of a statement forest, visiting nested bodies. *)

@@ -13,6 +13,3 @@ val now_ns : unit -> int
 
 val elapsed_ns : int -> int
 (** [elapsed_ns t0] is [now_ns () - t0], clamped to be non-negative. *)
-
-val ns_to_s : int -> float
-(** Nanoseconds to seconds, for human-facing reports. *)

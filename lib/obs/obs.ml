@@ -130,104 +130,79 @@ let enabled () = Atomic.get on
 let now_ns = Monotonic_clock.now_ns
 
 (* ------------------------------------------------------------------ *)
-(* Export (hand-rolled JSON; this library depends on nothing).          *)
+(* Export.                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_span b sp =
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"name\":\"%s\",\"cat\":\"%s\",\"arg\":%s,\"domain\":%d,\"depth\":%d,\
-        \"start_ns\":%d,\"dur_ns\":%d}"
-       (escape sp.sp_name) (escape sp.sp_cat)
-       (match sp.sp_arg with
-       | None -> "null"
-       | Some a -> Printf.sprintf "\"%s\"" (escape a))
-       sp.sp_domain sp.sp_depth sp.sp_start_ns sp.sp_dur_ns)
-
 let to_json () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"version\":1,\"enabled\":%b,\"counters\":{"
-       (Atomic.get on));
-  List.iteri
-    (fun i (n, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (escape n) v))
-    (counters ());
-  Buffer.add_string b "},\"spans\":[";
-  List.iteri
-    (fun i sp ->
-      if i > 0 then Buffer.add_char b ',';
-      json_span b sp)
-    (spans ());
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let span sp =
+    Json.Obj
+      [
+        ("name", Json.Str sp.sp_name);
+        ("cat", Json.Str sp.sp_cat);
+        ( "arg",
+          Option.fold ~none:Json.Null ~some:(fun a -> Json.Str a) sp.sp_arg );
+        ("domain", Json.Int sp.sp_domain);
+        ("depth", Json.Int sp.sp_depth);
+        ("start_ns", Json.Int sp.sp_start_ns);
+        ("dur_ns", Json.Int sp.sp_dur_ns);
+      ]
+  in
+  Json.Obj
+    [
+      ("version", Json.Int 1);
+      ("enabled", Json.Bool (Atomic.get on));
+      ( "counters",
+        Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) (counters ())) );
+      ("spans", Json.List (List.map span (spans ())));
+    ]
 
 (* chrome://tracing's JSON-array flavour: "X" (complete) events carry
    ts/dur in *microseconds*; "C" (counter) samples plot the final
    counter values at the trace end. tid = domain id, so each domain
    gets its own track. *)
 let to_chrome_trace () =
-  let b = Buffer.create 4096 in
-  Buffer.add_char b '[';
   let all = spans () in
   let end_ts =
     List.fold_left
       (fun acc sp -> max acc (sp.sp_start_ns + sp.sp_dur_ns))
       0 all
   in
-  List.iteri
-    (fun i sp ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":1,\
-            \"tid\":%d,\"ts\":%.3f,\"dur\":%.3f%s}"
-           (escape sp.sp_name) (escape sp.sp_cat) sp.sp_domain
-           (float_of_int sp.sp_start_ns /. 1e3)
-           (float_of_int sp.sp_dur_ns /. 1e3)
-           (match sp.sp_arg with
-           | None -> ""
-           | Some a ->
-             Printf.sprintf ",\"args\":{\"detail\":\"%s\"}" (escape a))))
-    all;
-  let sep = ref (all <> []) in
-  List.iter
-    (fun (n, v) ->
-      if !sep then Buffer.add_char b ',';
-      sep := true;
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":%.3f,\
-            \"args\":{\"value\":%d}}"
-           (escape n)
-           (float_of_int end_ts /. 1e3)
-           v))
-    (counters ());
-  Buffer.add_char b ']';
-  Buffer.contents b
+  let us ns = Json.Float (float_of_int ns /. 1e3) in
+  let complete sp =
+    Json.Obj
+      ([
+         ("name", Json.Str sp.sp_name);
+         ("cat", Json.Str sp.sp_cat);
+         ("ph", Json.Str "X");
+         ("pid", Json.Int 1);
+         ("tid", Json.Int sp.sp_domain);
+         ("ts", us sp.sp_start_ns);
+         ("dur", us sp.sp_dur_ns);
+       ]
+      @
+      match sp.sp_arg with
+      | None -> []
+      | Some a -> [ ("args", Json.Obj [ ("detail", Json.Str a) ]) ])
+  in
+  let sample (n, v) =
+    Json.Obj
+      [
+        ("name", Json.Str n);
+        ("ph", Json.Str "C");
+        ("pid", Json.Int 1);
+        ("tid", Json.Int 0);
+        ("ts", us end_ts);
+        ("args", Json.Obj [ ("value", Json.Int v) ]);
+      ]
+  in
+  Json.to_string
+    (Json.List (List.map complete all @ List.map sample (counters ())))
 
 let write_file path s =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc s;
       Out_channel.output_char oc '\n')
 
-let write_json path = write_file path (to_json ())
+let write_json path = write_file path (Json.to_string (to_json ()))
 
 let write_chrome_trace path = write_file path (to_chrome_trace ())

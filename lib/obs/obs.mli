@@ -90,11 +90,10 @@ val spans : unit -> span list
 
 (** {1 Export} *)
 
-val to_json : unit -> string
+val to_json : unit -> Json.t
 (** One JSON object: [{"version":1,"enabled":…,"counters":{…},
-    "spans":[…]}]. Hand-rolled, no dependencies; counter names sorted,
-    spans in completion order, so the output is deterministic for a
-    deterministic run. *)
+    "spans":[…]}]. Counter names sorted, spans in completion order, so
+    the output is deterministic for a deterministic run. *)
 
 val to_chrome_trace : unit -> string
 (** The Chrome [trace_event] JSON-array format (loadable in
@@ -103,6 +102,6 @@ val to_chrome_trace : unit -> string
     registered counter at the trace end. *)
 
 val write_json : string -> unit
-(** [to_json] to a file. *)
+(** [to_json], printed by [Json.to_string], to a file. *)
 
 val write_chrome_trace : string -> unit

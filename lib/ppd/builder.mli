@@ -36,9 +36,6 @@ val pending_links : t -> (Runtime.Event.eref * int) list
 (** Cross-process sync links whose source node is not in the graph yet:
     [(source event, target node)]. *)
 
-val resolve_links : t -> unit
-(** Connect any pending links whose source has appeared since. *)
-
 val build_from_outcome :
   Analysis.Static_pdg.program_pdgs ->
   Dyn_graph.t ->

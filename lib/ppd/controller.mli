@@ -146,10 +146,6 @@ val prefetch : ?max_candidates:int -> t -> int
     speculative replays are submitted — so a [--degraded] run with a
     tight budget cannot silently burn unbounded speculative steps. *)
 
-val node_of_event : t -> Runtime.Event.eref -> int option
-(** Locate the graph node for an event, building its enclosing interval
-    on demand. *)
-
 val last_event_node : t -> pid:int -> int option
 (** The node of the last event process [pid] executed — the root of the
     inverted tree the debugger first presents (§3.2.3). Builds the

@@ -47,18 +47,6 @@ type t =
       writes : (Lang.Prog.var * Value.t) list option;
     }
 
-let is_sync = function
-  | E_stmt { kind; _ } -> (
-    match kind with
-    | K_p _ | K_v _ | K_send _ | K_send_unblocked _ | K_recv _ | K_spawn _
-    | K_join _ ->
-      true
-    | K_assign | K_pred _ | K_call _ | K_call_return _ | K_return _
-    | K_print _ | K_assert _ ->
-      false)
-  | E_proc_start _ | E_proc_exit _ -> true
-  | E_enter _ | E_leave _ | E_loop_enter _ | E_loop_exit _ -> false
-
 let sid_of = function
   | E_stmt { sid; _ } | E_loop_enter { sid } | E_loop_exit { sid; _ } ->
     Some sid

@@ -77,11 +77,6 @@ type t =
           values when it skips a loop e-block, so graph builders know
           which variables the collapsed loop node defines. *)
 
-val is_sync : t -> bool
-(** Synchronization events: P/V/send/recv/send-unblock/spawn/join
-    statement events plus process start/exit. These become the nodes of
-    the parallel dynamic graph. *)
-
 val sid_of : t -> int option
 
 val pp_kind : Format.formatter -> kind -> unit

@@ -56,8 +56,6 @@ val read_var : ctx -> Lang.Prog.var -> Value.t
 
 val eval_int : ctx -> Lang.Prog.expr -> int * Event.rw list
 
-val eval_bool : ctx -> Lang.Prog.expr -> bool * Event.rw list
-
 val write_lhs : ctx -> Lang.Prog.lhs -> Value.t -> Event.rw list * Event.rw
 (** [write_lhs ctx l v] evaluates the index (if any), performs the
     write, and returns (index reads, the write record). Writing [Vundef]

@@ -82,10 +82,6 @@ val engine : t -> engine
 val run : t -> halt
 (** Run to halt. *)
 
-val step_one : t -> bool
-(** Advance one scheduled event; [false] when halted (inspect
-    {!status}). Exposed for tests that interleave inspection. *)
-
 val status : t -> halt option
 
 val output : t -> string

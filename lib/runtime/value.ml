@@ -2,8 +2,6 @@ type t = Vint of int | Varr of int array | Vundef
 
 exception Undefined
 
-let vint n = Vint n
-
 let to_int = function
   | Vint n -> n
   | Vundef -> raise Undefined

@@ -9,8 +9,6 @@ type t = Vint of int | Varr of int array | Vundef
 exception Undefined
 (** Raised by the integer projections on [Vundef]. *)
 
-val vint : int -> t
-
 val to_int : t -> int
 (** @raise Undefined on [Vundef]; @raise Invalid_argument on arrays. *)
 

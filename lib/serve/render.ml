@@ -1,6 +1,6 @@
-(* Shared rendering for the `--load` debugging answers (CLI stdout and
-   daemon responses). The format strings here are the only copy; the
-   cram suite pins the bytes. *)
+(* Shared rendering for the answers the CLI and the daemon both give
+   (the `--load` debugging reports and the fsck report). The format
+   strings here are the only copy; the cram suite pins the bytes. *)
 
 type sink = { out : string -> unit; ppf : Format.formatter }
 
@@ -66,3 +66,35 @@ let replay_report sink ~dump ~nprocs ctl =
      else "");
   Ppd.Flowback.pp_holes ctl sink.ppf;
   if dump then Format.fprintf sink.ppf "%a@." Ppd.Dyn_graph.pp g
+
+let fsck_json ~path (rp : Store.Segment.fsck_report) =
+  let page (p : Store.Segment.fsck_page) =
+    Json.Obj
+      [
+        ("pid", Json.Int p.fp_pid);
+        ("page", Json.Int p.fp_page);
+        ("offset", Json.Int p.fp_offset);
+        ("count", Json.Int p.fp_count);
+        ( "error",
+          Option.fold ~none:Json.Null ~some:(fun e -> Json.Str e) p.fp_error );
+      ]
+  in
+  let dmg (d : Store.Segment.damage) =
+    Json.Obj
+      [ ("offset", Json.Int d.dmg_offset); ("reason", Json.Str d.dmg_reason) ]
+  in
+  Json.Obj
+    [
+      ("path", Json.Str path);
+      ("version", Json.Int 2);
+      ("bytes", Json.Int rp.fk_bytes);
+      ("indexed", Json.Bool rp.fk_indexed);
+      ("clean", Json.Bool rp.fk_clean);
+      ("tier", Json.Str rp.fk_tier);
+      ("checkpoints", Json.Int rp.fk_ckpts);
+      ("procs", Json.Int rp.fk_procs);
+      ("records", Json.Int rp.fk_records);
+      ("intervals", Json.Int rp.fk_intervals);
+      ("pages", Json.List (List.map page rp.fk_pages));
+      ("damage", Json.List (List.map dmg rp.fk_damage));
+    ]

@@ -1,7 +1,7 @@
-(** The one rendering path for the `--load` debugging answers.
+(** The one rendering path for the answers both front ends give.
 
     Both the one-shot CLI and the daemon produce their
-    `flowback`/`replay` reports through these functions, so a daemon
+    `flowback`/`replay`/`fsck` reports through these functions, so a daemon
     response is byte-identical to the CLI answer on the same saved log
     {e by construction} — there is no second copy of the format
     strings to drift. The CLI renders into stdout; the daemon renders
@@ -41,3 +41,7 @@ val replay_report :
 (** Batch-build every interval of every process (through the
     controller's pool when it has one) and report the graph totals,
     holes, and the optional deterministic graph dump. *)
+
+val fsck_json : path:string -> Store.Segment.fsck_report -> Json.t
+(** The [ppd fsck] damage report; the daemon's [fsck] result is the
+    same value. *)

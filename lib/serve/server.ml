@@ -721,41 +721,7 @@ let m_proto _t _s params =
 let m_fsck _t _s params =
   let* log = p_str params "log" in
   guarded (fun () ->
-      let rp = Store.Segment.fsck log in
-      let page (p : Store.Segment.fsck_page) =
-        J.Obj
-          [
-            ("pid", J.Int p.Store.Segment.fp_pid);
-            ("page", J.Int p.Store.Segment.fp_page);
-            ("offset", J.Int p.Store.Segment.fp_offset);
-            ("count", J.Int p.Store.Segment.fp_count);
-            ( "error",
-              match p.Store.Segment.fp_error with
-              | None -> J.Null
-              | Some e -> J.Str e );
-          ]
-      in
-      let dmg (d : Store.Segment.damage) =
-        J.Obj
-          [
-            ("offset", J.Int d.Store.Segment.dmg_offset);
-            ("reason", J.Str d.Store.Segment.dmg_reason);
-          ]
-      in
-      Ok
-        (J.Obj
-           [
-             ("path", J.Str log);
-             ("version", J.Int 2);
-             ("bytes", J.Int rp.Store.Segment.fk_bytes);
-             ("indexed", J.Bool rp.Store.Segment.fk_indexed);
-             ("clean", J.Bool rp.Store.Segment.fk_clean);
-             ("procs", J.Int rp.Store.Segment.fk_procs);
-             ("records", J.Int rp.Store.Segment.fk_records);
-             ("intervals", J.Int rp.Store.Segment.fk_intervals);
-             ("pages", J.List (List.map page rp.Store.Segment.fk_pages));
-             ("damage", J.List (List.map dmg rp.Store.Segment.fk_damage));
-           ]))
+      Ok (Render.fsck_json ~path:log (Store.Segment.fsck log)))
 
 let m_stats t s params =
   let* e = p_handle t s params in
@@ -779,13 +745,7 @@ let m_stats t s params =
              ] );
        ])
 
-let m_profile _t _s _params =
-  (* the Obs export is itself JSON; embed it as a value when it parses
-     (it should — both sides are this repo's hand-rolled printers) *)
-  let raw = Obs.to_json () in
-  match J.parse raw with
-  | Ok v -> Ok (J.Obj [ ("profile", v) ])
-  | Error _ -> Ok (J.Obj [ ("profile", J.Str raw) ])
+let m_profile _t _s _params = Ok (J.Obj [ ("profile", Obs.to_json ()) ])
 
 let m_server_stats t _s _params =
   Mutex.lock t.lock;

@@ -17,5 +17,3 @@ let digest ?(pos = 0) ?len s =
     crc := t.((!crc lxor Char.code s.[i]) land 0xff) lxor (!crc lsr 8)
   done;
   !crc lxor 0xFFFFFFFF
-
-let digest_buffer b = digest (Buffer.contents b)

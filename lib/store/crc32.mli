@@ -5,6 +5,3 @@
 val digest : ?pos:int -> ?len:int -> string -> int
 (** Checksum of [s.(pos .. pos+len-1)] (defaults: the whole string),
     as an unsigned 32-bit value in an OCaml int. *)
-
-val digest_buffer : Buffer.t -> int
-(** Checksum of a buffer's current contents. *)

@@ -46,9 +46,6 @@ val ppd050 : path:string -> reason:string -> Lang.Diag.diagnostic
 val magic : string
 (** ["PPDLOG2\n"]. *)
 
-val trailer_magic : string
-(** ["PPDEND2\n"], the final 8 bytes of a complete segment. *)
-
 type damage = {
   dmg_offset : int;  (** byte offset where the problem was found *)
   dmg_reason : string;

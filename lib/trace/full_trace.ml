@@ -36,9 +36,3 @@ let slice t ~pid ~lo ~hi =
            && match hi with None -> true | Some h -> r.tr_seq < h
          then Some r.tr_ev
          else None)
-
-let run_traced ?sched ?max_steps prog =
-  let st = create () in
-  let m = Runtime.Machine.create ?sched ?max_steps ~hooks:(factory st) prog in
-  let halt = Runtime.Machine.run m in
-  (halt, finish st, m)

@@ -24,9 +24,3 @@ val nevents : t -> int
 val slice : t -> pid:int -> lo:int -> hi:int option -> Runtime.Event.t list
 (** Events of [pid] with sequence number in [lo, hi) ([hi = None] means
     unbounded), in order. *)
-
-val run_traced :
-  ?sched:Runtime.Sched.policy ->
-  ?max_steps:int ->
-  Lang.Prog.t ->
-  Runtime.Machine.halt * t * Runtime.Machine.t

@@ -2,7 +2,7 @@
    gate, and the daemon dispatcher driven in-process via [handle_line]
    — everything the transports share, without a socket in sight. *)
 
-module J = Serve.Json
+module J = Json
 module Rpc = Serve.Rpc
 module Gate = Serve.Gate
 module Server = Serve.Server
@@ -94,8 +94,19 @@ let test_json_rejects () =
   (* surrogate encoded as UTF-8 *)
   bad "\"a\nb\"";
   (* raw control character in a string *)
+  bad "1e999";
+  (* number literals must be finite *)
+  bad "-1e400";
   bad (String.make 70 '[' ^ "1" ^ String.make 70 ']')
 (* nesting beyond the depth cap *)
+
+(* JSON has no NaN or infinity: the printer says null instead. *)
+let test_json_non_finite () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (string_of_float f) "null"
+        (J.to_string (J.Float f)))
+    [ nan; infinity; neg_infinity ]
 
 (* -------------------------------------------------------------- *)
 (* RPC framing *)
@@ -374,6 +385,11 @@ let test_dispatch_basics () =
   let mal = parsed (Server.handle_line srv s "not json at all") in
   Alcotest.(check bool) "malformed gets id null" true
     (J.member "id" mal = Some J.Null);
+  let inf_id = {|{"id":1e999,"method":"ping"}|} in
+  Alcotest.(check bool) "non-finite id gets id null" true
+    (J.member "id" (parsed (Server.handle_line srv s inf_id)) = Some J.Null);
+  Alcotest.(check string) "non-finite id is protocol error" Rpc.err_protocol
+    (error_code_of (Server.handle_line srv s inf_id));
   Alcotest.(check string) "malformed is protocol error" Rpc.err_protocol
     (error_code_of (Server.handle_line srv s "not json at all"));
   Alcotest.(check string) "missing params rejected" Rpc.err_bad_params
@@ -567,6 +583,8 @@ let test_fsck_method () =
       let r = result_of (Server.handle_line srv s (req ~id:1 "fsck" [ ("log", J.Str seg) ])) in
       Alcotest.(check bool) "clean" true (J.member "clean" r = Some (J.Bool true));
       Alcotest.(check bool) "records counted" true (jint r "records" > 0);
+      Alcotest.(check bool) "tier reported" true
+        (J.member "tier" r = Some (J.Str "content"));
       Alcotest.(check string) "unreadable log is PPD050" "PPD050"
         (error_code_of
            (Server.handle_line srv s
@@ -861,6 +879,8 @@ let suite =
       json_roundtrip;
       Alcotest.test_case "JSON accepts" `Quick test_json_accepts;
       Alcotest.test_case "JSON rejects" `Quick test_json_rejects;
+      Alcotest.test_case "JSON non-finite prints null" `Quick
+        test_json_non_finite;
       Alcotest.test_case "RPC parse" `Quick test_rpc_parse;
       Alcotest.test_case "RPC rejects" `Quick test_rpc_rejects;
       Alcotest.test_case "RPC response lines" `Quick test_rpc_lines;
