@@ -458,6 +458,32 @@ let debugging ~cleanup f =
       (Fault.kind_to_string kind) site;
     exit 2
 
+(* The --load path of flowback and replay: analyse the program, open
+   the saved log (PPD050 and exit 6 when unreadable), print the header,
+   then run [body ~nprocs ctl] inside [debugging] over a controller on
+   the open reader, with a pool when -j > 1. *)
+let with_loaded_log ~file ~loops ~inline ~jobs ~config logpath body =
+  let prog = compile_or_die (read_source file) in
+  let eb = Analysis.Eblock.analyze ~policy:(policy_of ~loops inline) prog in
+  match Store.Segment.open_file logpath with
+  | exception Store.Segment.Unreadable { path; reason } ->
+    die_unreadable ~path ~reason
+  | r ->
+    let nprocs = Store.Segment.nprocs r in
+    Serve.Render.header
+      (Serve.Render.stdout_sink ())
+      ~path:logpath ~version:(Store.Segment.version r) ~nprocs;
+    let jobs = resolve_jobs jobs in
+    let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in
+    let cleanup () =
+      match pool with Some p -> Exec.Pool.shutdown p | None -> ()
+    in
+    (* inside [debugging]: an order-tier log reconstructs here, and a
+       divergence must render as PPD061, not an uncaught raise *)
+    debugging ~cleanup (fun () ->
+        body ~nprocs (Ppd.Controller.start_paged ?pool ~config eb r));
+    cleanup ()
+
 let log_path_arg =
   Arg.(
     required
@@ -824,32 +850,14 @@ let flowback_cmd =
           if root <> None then ignore (Ppd.Controller.prefetch ctl);
           report ~depth ~dot ctl root);
       Ppd.Session.shutdown s
-    | Some logpath -> (
-      let prog = compile_or_die (read_source file) in
-      let eb = Analysis.Eblock.analyze ~policy:(policy_of ~loops inline) prog in
-      match Store.Segment.open_file logpath with
-      | exception Store.Segment.Unreadable { path; reason } ->
-        die_unreadable ~path ~reason
-      | r ->
-        Serve.Render.header
-          (Serve.Render.stdout_sink ())
-          ~path:logpath ~version:(Store.Segment.version r)
-          ~nprocs:(Store.Segment.nprocs r);
-        let jobs = resolve_jobs jobs in
-        let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in
-        let cleanup () =
-          match pool with Some p -> Exec.Pool.shutdown p | None -> ()
-        in
-        (* inside [debugging]: an order-tier log reconstructs here, and
-           a divergence must render as PPD061, not an uncaught raise *)
-        debugging ~cleanup (fun () ->
-            let ctl = Ppd.Controller.start_paged ?pool ~config eb r in
-            let root =
-              if Store.Segment.nprocs r = 0 then None
-              else Ppd.Controller.last_event_node ctl ~pid:0
-            in
-            report ~depth ~dot ctl root);
-        cleanup ()));
+    | Some logpath ->
+      with_loaded_log ~file ~loops ~inline ~jobs ~config logpath
+        (fun ~nprocs ctl ->
+          let root =
+            if nprocs = 0 then None
+            else Ppd.Controller.last_event_node ctl ~pid:0
+          in
+          report ~depth ~dot ctl root));
     profile_write pout ptrace
   in
   Cmd.v
@@ -896,26 +904,9 @@ let replay_cmd =
           let log = Ppd.Session.log s in
           rebuild ~dump ~nprocs:log.Trace.Log.nprocs ctl);
       Ppd.Session.shutdown s
-    | Some logpath -> (
-      let prog = compile_or_die (read_source file) in
-      let eb = Analysis.Eblock.analyze ~policy:(policy_of ~loops inline) prog in
-      match Store.Segment.open_file logpath with
-      | exception Store.Segment.Unreadable { path; reason } ->
-        die_unreadable ~path ~reason
-      | r ->
-        Serve.Render.header
-          (Serve.Render.stdout_sink ())
-          ~path:logpath ~version:(Store.Segment.version r)
-          ~nprocs:(Store.Segment.nprocs r);
-        let jobs = resolve_jobs jobs in
-        let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in
-        let cleanup () =
-          match pool with Some p -> Exec.Pool.shutdown p | None -> ()
-        in
-        debugging ~cleanup (fun () ->
-            let ctl = Ppd.Controller.start_paged ?pool ~config eb r in
-            rebuild ~dump ~nprocs:(Store.Segment.nprocs r) ctl);
-        cleanup ()));
+    | Some logpath ->
+      with_loaded_log ~file ~loops ~inline ~jobs ~config logpath
+        (fun ~nprocs ctl -> rebuild ~dump ~nprocs ctl));
     profile_write pout ptrace
   in
   Cmd.v
@@ -1133,27 +1124,7 @@ let race_cmd =
         Format.printf "%a@." (Analysis.Static_race.pp_report p) reports;
         if reports <> [] then exit 3
       | `Json ->
-        let diags =
-          if not proto then Analysis.Lint.run ~only:[ "races" ] p
-          else
-            (* the lint pass runs on the base relation; with --proto,
-               rebuild the same diagnostics over the refined one *)
-            List.map
-              (fun (r : Analysis.Static_race.report) ->
-                {
-                  Lang.Diag.d_code =
-                    (if r.pr_write_write then "PPD011" else "PPD010");
-                  d_severity = Lang.Diag.Sev_warning;
-                  d_loc = p.Lang.Prog.stmts.(r.pr_a1.acc_sid).Lang.Prog.loc;
-                  d_message =
-                    Printf.sprintf "potential %s race on shared '%s'"
-                      (if r.pr_write_write then "write/write"
-                       else "read/write")
-                      r.pr_var.Lang.Prog.vname;
-                  d_related = [];
-                })
-              (Analysis.Static_race.analyze ~mhp p)
-        in
+        let diags = Analysis.Lint.run ~only:[ "races" ] ~mhp p in
         print_endline (Lang.Diag.json_of_diagnostics diags);
         if diags <> [] then exit 3)
     end

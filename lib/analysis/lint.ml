@@ -14,9 +14,11 @@ type pass = {
   pass_run : ctx -> D.collector -> unit;
 }
 
-let make_ctx (p : P.t) =
+let make_ctx ?mhp (p : P.t) =
   let cfgs = Array.map (fun f -> Cfg.build p f) p.funcs in
-  let mhp = Mhp.compute ~cfgs p in
+  let mhp =
+    match mhp with Some m -> m | None -> Mhp.compute ~cfgs p
+  in
   { prog = p; cfgs; mhp; proto = lazy (Proto.analyze ~mhp p) }
 
 let stmt_loc (p : P.t) sid = p.stmts.(sid).P.loc
@@ -301,7 +303,7 @@ let pass_names = List.map (fun p -> p.pass_name) passes
 
 exception Unknown_pass of string
 
-let run ?only (p : P.t) =
+let run ?only ?mhp (p : P.t) =
   let selected =
     match only with
     | None -> passes
@@ -313,7 +315,7 @@ let run ?only (p : P.t) =
           | None -> raise (Unknown_pass n))
         names
   in
-  let ctx = make_ctx p in
+  let ctx = make_ctx ?mhp p in
   let c = D.create () in
   List.iter (fun q -> q.pass_run ctx c) selected;
   D.diagnostics c

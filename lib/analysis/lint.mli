@@ -49,7 +49,9 @@ val pass_names : string list
 
 exception Unknown_pass of string
 
-val run : ?only:string list -> Lang.Prog.t -> Lang.Diag.diagnostic list
+val run :
+  ?only:string list -> ?mhp:Mhp.t -> Lang.Prog.t -> Lang.Diag.diagnostic list
 (** Run the selected passes (default: all) and return the findings in
-    stable order. Raises {!Unknown_pass} for a name not in
-    {!pass_names}. *)
+    stable order. [mhp], when given, is used in place of the relation
+    the passes would compute (e.g. a protocol-refined one). Raises
+    {!Unknown_pass} for a name not in {!pass_names}. *)

@@ -1,11 +1,7 @@
 module P = Lang.Prog
 module E = Runtime.Event
 module L = Trace.Log
-
-(* Where the entries come from: a whole in-memory log, or an open
-   segment file that is decoded interval by interval as queries touch
-   it (the demand-paged debugging phase). *)
-type source = S_mem of L.t | S_paged of Store.Segment.reader
+module Seg = Store.Segment
 
 (* Degraded-mode policy (DESIGN §12) plus the per-request resilience
    envelope (DESIGN §17). [degraded] turns damaged or unreplayable
@@ -52,7 +48,9 @@ type t = {
   eb : Analysis.Eblock.t;
   pdgs : Analysis.Static_pdg.program_pdgs;
   db : Analysis.Progdb.t;
-  src : source;
+  src : Seg.reader;
+      (* where the entries come from: an open segment decoded interval by
+         interval as queries touch it, or a whole log held in memory *)
   pd : Pardyn.t Lazy.t;  (* race queries force a full decode *)
   g : Dyn_graph.t;
   ivs : L.interval array array;  (* per pid *)
@@ -128,47 +126,29 @@ let c_holes = Obs.counter "ctl.holes"
 
 let c_retries = Obs.counter "ctl.retries"
 
-let make ?pool ?shared ?(config = default_config) eb src =
+let start_paged ?pool ?shared ?(config = default_config) eb src =
   (* An order-tier log carries no value snapshots, so nothing here can
      emulate from it directly. Reconstruct the equivalent content log
      up front (DESIGN §16) and debug that: the reconstruction is
      validated against the recorded sync order, so every downstream
      answer is byte-identical to debugging a content recording of the
      same execution. *)
-  let src_tier =
-    L.tier_name
-      (match src with
-      | S_mem log -> log.L.tier
-      | S_paged r -> Store.Segment.tier r)
-  in
+  let src_tier = L.tier_name (Seg.tier src) in
   let src =
-    match src with
-    | S_mem log when log.L.tier <> L.T_content ->
-      S_mem (Reconstruct.reconstruct eb log)
-    | S_paged r when Store.Segment.tier r <> L.T_content ->
-      S_mem (Reconstruct.reconstruct eb (Store.Segment.to_log r))
-    | src -> src
+    if Seg.tier src = L.T_content then src
+    else Seg.of_log (Reconstruct.reconstruct eb (Seg.to_log src))
   in
   let prog = eb.Analysis.Eblock.prog in
   let stmt_fid sid = prog.P.stmt_fid.(sid) in
-  let ivs, pd =
-    match src with
-    | S_mem log ->
-      ( Array.init log.L.nprocs (fun pid -> L.intervals ~stmt_fid log ~pid),
-        lazy (Pardyn.of_log prog log) )
-    | S_paged r ->
-      ( Array.init (Store.Segment.nprocs r) (fun pid ->
-            Store.Segment.intervals r ~stmt_fid ~pid),
-        lazy (Pardyn.of_log prog (Store.Segment.to_log r)) )
-  in
   {
     eb;
     pdgs = Analysis.Static_pdg.build_program prog;
     db = Analysis.Progdb.build ~summary:eb.Analysis.Eblock.summary prog;
     src;
-    pd;
+    pd = lazy (Pardyn.of_log prog (Seg.to_log src));
     g = Dyn_graph.create ();
-    ivs;
+    ivs =
+      Array.init (Seg.nprocs src) (fun pid -> Seg.intervals src ~stmt_fid ~pid);
     outcomes = Hashtbl.create 16;
     pool;
     shared;
@@ -188,10 +168,8 @@ let make ?pool ?shared ?(config = default_config) eb src =
     retried = 0;
   }
 
-let start ?pool ?shared ?config eb log = make ?pool ?shared ?config eb (S_mem log)
-
-let start_paged ?pool ?shared ?config eb reader =
-  make ?pool ?shared ?config eb (S_paged reader)
+let start ?pool ?shared ?config eb log =
+  start_paged ?pool ?shared ?config eb (Seg.of_log log)
 
 (* Forget the pool: later queries replay serially on the calling
    domain. In-flight futures stay consumable (a shut-down pool has
@@ -202,19 +180,16 @@ let detach_pool t = t.pool <- None
 
 (* The log slice an interval's emulation touches: entries
    [iv_prelog - 1 .. iv_postlog] (the preceding sync record through the
-   closing postlog, or the process's end for open intervals). A paged
-   source decodes exactly that window. *)
+   closing postlog, or the process's end for open intervals). An indexed
+   reader decodes exactly that window. *)
 let interval_log t (iv : L.interval) =
-  match t.src with
-  | S_mem log -> log
-  | S_paged r ->
-    let pid = iv.L.iv_pid in
-    let hi =
-      match iv.L.iv_postlog with
-      | Some p -> p
-      | None -> Store.Segment.pid_entry_count r ~pid - 1
-    in
-    Store.Segment.window r ~pid ~lo:(iv.L.iv_prelog - 1) ~hi
+  let pid = iv.L.iv_pid in
+  let hi =
+    match iv.L.iv_postlog with
+    | Some p -> p
+    | None -> Seg.pid_entry_count t.src ~pid - 1
+  in
+  Seg.window t.src ~pid ~lo:(iv.L.iv_prelog - 1) ~hi
 
 let graph t = t.g
 
@@ -299,11 +274,6 @@ let submit_replay t (iv : L.interval) =
       true
     end
 
-let pid_stop t pid =
-  match t.src with
-  | S_mem log -> log.L.stops.(pid)
-  | S_paged r -> (Store.Segment.stops r).(pid)
-
 (* An inert outcome standing in for an interval we could not replay:
    no events means no nodes, so downstream resolution simply fails to
    find writers there and moves on. *)
@@ -326,7 +296,7 @@ let declare_hole t ~pid ~(iv : L.interval) reason =
   let hi =
     match iv.L.iv_seq_end with
     | Some e -> e
-    | None -> max lo (pid_stop t pid - 1)
+    | None -> max lo ((Seg.stops t.src).(pid) - 1)
   in
   let label =
     Printf.sprintf "history unavailable for p%d steps %d-%d (%s)" pid lo hi
@@ -371,7 +341,7 @@ let with_retries t (iv : L.interval) first =
 let reason_of_failure = function
   | Fault.Injected { site; kind } ->
     Printf.sprintf "injected %s fault at %s" (Fault.kind_to_string kind) site
-  | Store.Segment.Unreadable { reason; _ } ->
+  | Seg.Unreadable { reason; _ } ->
     Printf.sprintf "log page damaged: %s" reason
   | Emulator.Replay_mismatch m -> Printf.sprintf "replay diverged: %s" m
   | e -> Printexc.to_string e
@@ -435,7 +405,7 @@ let build_interval (t : t) ~pid ~iv_id =
         end
         else o
       | exception
-          ((Fault.Injected _ | Store.Segment.Unreadable _
+          ((Fault.Injected _ | Seg.Unreadable _
            | Emulator.Replay_mismatch _) as e)
         when t.config.degraded ->
         hole (reason_of_failure e)
@@ -616,31 +586,6 @@ let interval_of_node t node_id =
   | None -> None
   | Some r -> Option.map (fun iv -> (r, iv)) (enclosing_interval t r)
 
-let prelog_step t (iv : L.interval) =
-  match t.src with
-  | S_paged r -> Store.Segment.interval_step r iv
-  | S_mem log -> (
-    match log.L.entries.(iv.L.iv_pid).(iv.L.iv_prelog) with
-    | L.Prelog { step_at; _ } -> step_at
-    | _ -> 0)
-
-(* The moment the value read at [reader_seq] was snapshot: the latest
-   prelog or sync-unit prelog of this process at or before the reading
-   event. Paged sources answer from the footer's snapshot table. *)
-let snapshot_step t ~pid ~reader_seq =
-  match t.src with
-  | S_paged r -> Store.Segment.snapshot_step r ~pid ~reader_seq
-  | S_mem log ->
-    Array.fold_left
-      (fun acc e ->
-        match e with
-        | L.Prelog { seq_at; step_at; _ } | L.Sync_prelog { seq_at; step_at; _ }
-          when seq_at <= reader_seq ->
-          max acc step_at
-        | _ -> acc)
-      0
-      log.L.entries.(pid)
-
 (* The last node in the (already built) graph writing [vid] within the
    given interval: scan the builder outcome's events. *)
 let last_write_node t (iv : L.interval) vid =
@@ -658,19 +603,14 @@ let last_write_node t (iv : L.interval) vid =
            (Dyn_graph.find_ref t.g { E.epid = iv.L.iv_pid; eseq = seq }, value))
 
 (* The spawn event of a process-root interval, from the proc-start
-   sync record just before its prelog (a single-record seek on a paged
-   source). *)
+   sync record just before its prelog (a single-record seek on an
+   indexed reader). *)
 let spawner_ref t (iv : L.interval) =
   if iv.L.iv_prelog > 0 then
-    match
-      (match t.src with
-      | S_mem log -> log.L.entries.(iv.L.iv_pid).(iv.L.iv_prelog - 1)
-      | S_paged r ->
-        Store.Segment.entry r ~pid:iv.L.iv_pid ~idx:(iv.L.iv_prelog - 1))
-    with
+    match Seg.entry t.src ~pid:iv.L.iv_pid ~idx:(iv.L.iv_prelog - 1) with
     | L.Sync { data = L.S_proc_start { spawn; _ }; _ } -> spawn
     | _ -> None
-    | exception Store.Segment.Unreadable _ when t.config.degraded ->
+    | exception Seg.Unreadable _ when t.config.degraded ->
       (* the sync record sits in a damaged page: the spawn link is lost,
          which degraded resolution treats like any other missing writer *)
       None
@@ -728,12 +668,16 @@ let shared_write_candidates t ~vid ~read_step ~(reading_iv : L.interval) =
                 List.exists (fun (v : P.var) -> v.vid = vid) post
               | None -> false)
           in
-          if (not same) && may_define && prelog_step t iv <= read_step then
+          if
+            (not same) && may_define
+            && Seg.interval_step t.src iv <= read_step
+          then
             candidates := iv :: !candidates)
         ivs)
     t.ivs;
   List.sort
-    (fun a b -> Int.compare (prelog_step t b) (prelog_step t a))
+    (fun a b ->
+      Int.compare (Seg.interval_step t.src b) (Seg.interval_step t.src a))
     !candidates
 
 (* Resolve a shared-variable external: emulate candidate intervals
@@ -743,7 +687,8 @@ let resolve_shared t node_id var ~reader (reading_iv : L.interval) =
   let vid = var.P.vid in
   let observed = (Dyn_graph.node t.g node_id).Dyn_graph.nd_value in
   let read_step =
-    snapshot_step t ~pid:reading_iv.L.iv_pid ~reader_seq:reader.Runtime.Event.eseq
+    Seg.snapshot_step t.src ~pid:reading_iv.L.iv_pid
+      ~reader_seq:reader.Runtime.Event.eseq
   in
   let candidates = shared_write_candidates t ~vid ~read_step ~reading_iv in
   let rec try_candidates = function
@@ -820,7 +765,7 @@ let prefetch ?(max_candidates = 8) t =
         | Some (reader, iv) ->
           if P.is_global var then begin
             let read_step =
-              snapshot_step t ~pid:iv.L.iv_pid ~reader_seq:reader.E.eseq
+              Seg.snapshot_step t.src ~pid:iv.L.iv_pid ~reader_seq:reader.E.eseq
             in
             let cands =
               shared_write_candidates t ~vid:var.P.vid ~read_step

@@ -65,14 +65,17 @@ type hole = {
   h_reason : string;
 }
 
-val start :
+val start_paged :
   ?pool:Exec.Pool.t ->
   ?shared:Fragcache.t ->
   ?config:config ->
   Analysis.Eblock.t ->
-  Trace.Log.t ->
+  Store.Segment.reader ->
   t
-(** Debug over a whole in-memory log. With [pool], interval emulation
+(** Debug over a log reader, the controller's only log source. Over an
+    open segment file, interval structure comes from the footer index,
+    and only the intervals a query touches are ever decoded (through
+    the reader's window LRU). With [pool], interval emulation
     can run on the pool's domains ({!build_intervals_par},
     {!prefetch}); graph assembly stays on the querying domain, so the
     resulting graph is byte-identical to the serial one. With [shared],
@@ -86,19 +89,19 @@ val start :
     An order-tier log (DESIGN §16) is reconstructed into the equivalent
     content log up front via {!Reconstruct.reconstruct} — may raise
     {!Reconstruct.Divergence} (PPD061/exit 8) when the re-execution
-    does not match the recorded sync order. *)
+    does not match the recorded sync order; the result is debugged as
+    an in-memory reader. *)
 
-val start_paged :
+val start :
   ?pool:Exec.Pool.t ->
   ?shared:Fragcache.t ->
   ?config:config ->
   Analysis.Eblock.t ->
-  Store.Segment.reader ->
+  Trace.Log.t ->
   t
-(** Debug over an open segment file: interval structure comes from the
-    footer index, and only the intervals a query touches are ever
-    decoded (through the reader's window LRU). Flowback answers are
-    identical to {!start} on the same execution. *)
+(** Debug over a whole in-memory log: {!start_paged} over
+    {!Store.Segment.of_log}. Flowback answers are identical to
+    {!start_paged} over a saved segment of the same execution. *)
 
 val detach_pool : t -> unit
 (** Forget the pool: subsequent queries replay serially on the calling
@@ -156,10 +159,6 @@ val expand_subgraph : t -> int -> Emulator.outcome option
     stitch its detail graph in. [None] if the node is not a sub-graph
     node or has no nested interval (inlined callees are already
     expanded). *)
-
-val resolve_external : t -> int -> int option
-(** Find the definition behind a frontier node and link it with a data
-    edge; returns the writer node. *)
 
 val why : t -> int -> (int * Dyn_graph.edge_kind) list
 (** Immediate dependence predecessors (data/control/sync), after

@@ -631,8 +631,8 @@ let materialize_intervals px ~stmt_fid ~pid =
 (* ------------------------------------------------------------------ *)
 
 type scan_result = {
-  sc_entries : (int * L.entry array) list;  (* pages, in file order *)
-  sc_pages : int;
+  sc_pages : (int * int * L.entry array) list;
+      (* (file offset, pid, entries) per intact page, in file order *)
   sc_nentries : int;
   sc_ckpts : L.ckpt list;  (* checkpoint frames, in file order *)
   sc_index : footer option;  (* the footer, when intact *)
@@ -642,7 +642,6 @@ type scan_result = {
 let scan raw =
   let len = String.length raw in
   let pages = ref [] in
-  let npages = ref 0 in
   let nentries = ref 0 in
   let ckpts = ref [] in
   let damage = ref [] in
@@ -656,9 +655,8 @@ let scan raw =
     let off = !pos in
     match parse_frame raw off with
     | Ok (F_page { fpid; fentries; fnext }) ->
-      incr npages;
       nentries := !nentries + Array.length fentries;
-      pages := (fpid, fentries) :: !pages;
+      pages := (off, fpid, fentries) :: !pages;
       pos := fnext
     | Ok (F_ckpt { fck; fnext }) ->
       ckpts := fck :: !ckpts;
@@ -686,8 +684,7 @@ let scan raw =
   done;
   if not !stop then add len "file ends without a footer frame";
   {
-    sc_entries = List.rev !pages;
-    sc_pages = !npages;
+    sc_pages = List.rev !pages;
     sc_nentries = !nentries;
     sc_ckpts = List.rev !ckpts;
     sc_index = !findex;
@@ -724,6 +721,8 @@ type indexed = {
       (* daemon-wide byte budget the cached pages are charged to *)
 }
 
+(* A whole log in memory: one handed to [of_log], or the prefix the
+   salvage scan recovered from a damaged file. *)
 type mem = {
   bm_log : L.t;
   bm_damage : damage list;
@@ -791,19 +790,17 @@ let mem_backing ?(dmg = []) log =
    array plus the cache slot overhead. *)
 let page_cost entries = (Array.length entries * 64) + 128
 
-let salvage raw =
-  let sc = scan raw in
+(* The longest valid prefix a scan found, as an in-memory log. *)
+let salvage sc =
   let nprocs =
     List.fold_left
-      (fun a (pid, _) -> max a (pid + 1))
+      (fun a (_, pid, _) -> max a (pid + 1))
       (match sc.sc_index with Some ft -> Array.length ft.ft_index | None -> 0)
-      sc.sc_entries
+      sc.sc_pages
   in
-  let per = Array.init nprocs (fun _ -> ref []) in
-  List.iter (fun (pid, page) -> per.(pid) := page :: !(per.(pid))) sc.sc_entries;
-  let entries =
-    Array.map (fun c -> Array.concat (List.rev !c)) per
-  in
+  let per = Array.make nprocs [] in
+  List.iter (fun (_, pid, page) -> per.(pid) <- page :: per.(pid)) sc.sc_pages;
+  let entries = Array.map (fun c -> Array.concat (List.rev c)) per in
   let stops =
     match sc.sc_index with
     | Some ft when Array.length ft.ft_index = nprocs ->
@@ -821,14 +818,7 @@ let salvage raw =
   let tier =
     match sc.sc_index with Some ft -> ft.ft_tier | None -> L.T_content
   in
-  mem_backing ~dmg:sc.sc_damage
-    {
-      L.nprocs;
-      entries;
-      stops;
-      tier;
-      ckpts = Array.of_list sc.sc_ckpts;
-    }
+  { L.nprocs; entries; stops; tier; ckpts = Array.of_list sc.sc_ckpts }
 
 (* Fast path: intact trailer -> footer -> index; no page is decoded. *)
 let indexed_backing ?budget path raw =
@@ -854,16 +844,15 @@ let indexed_backing ?budget path raw =
           match Array.map decode_ckpt ft.ft_ckpts with
           | ckpts ->
             Some
-              (B_indexed
-                 {
-                   ix_path = path;
-                   ix_raw = raw;
-                   ix_index = ft.ft_index;
-                   ix_tier = ft.ft_tier;
-                   ix_ckpts = ckpts;
-                   ix_shards = fresh_shards ();
-                   ix_budget = budget;
-                 })
+              {
+                ix_path = path;
+                ix_raw = raw;
+                ix_index = ft.ft_index;
+                ix_tier = ft.ft_tier;
+                ix_ckpts = ckpts;
+                ix_shards = fresh_shards ();
+                ix_budget = budget;
+              }
           | exception Exit -> None)
         | exception Varint.Corrupt _ -> None)
       | Ok _ | Error _ -> None
@@ -873,10 +862,14 @@ let open_file ?budget path =
   check_magic path raw;
   let backing =
     match indexed_backing ?budget path raw with
-    | Some b -> b
-    | None -> salvage raw
+    | Some ix -> B_indexed ix
+    | None ->
+      let sc = scan raw in
+      mem_backing ~dmg:sc.sc_damage (salvage sc)
   in
   { r_bytes = String.length raw; r_backing = backing }
+
+let of_log log = { r_bytes = 0; r_backing = mem_backing log }
 
 let version (_ : reader) = 2
 
@@ -927,6 +920,23 @@ let find_page px ~idx =
   done;
   !lo
 
+(* The one check of an indexed page, shared by the demand pager, fsck
+   and repair: the frame at [off] must be an intact page holding the
+   [count] entries of process [pid] that the index promises. *)
+let check_page raw ~pid (off, count) =
+  match parse_frame raw off with
+  | Ok (F_page { fpid; fentries; _ })
+    when fpid = pid && Array.length fentries = count ->
+    Ok fentries
+  | Ok (F_page { fpid; fentries; _ }) ->
+    Error
+      (Printf.sprintf
+         "holds %d entries of process %d, the index says %d of process %d"
+         (Array.length fentries) fpid count pid)
+  | Ok (F_footer _) -> Error "index points at the footer"
+  | Ok (F_ckpt _) -> Error "index points at a checkpoint frame"
+  | Error reason -> Error reason
+
 (* Decode one page through the sharded LRU cache. The frame is parsed
    outside the shard lock, so concurrent demand-paging domains only
    serialize on the (cheap) cache lookup and insert; two domains racing
@@ -955,11 +965,9 @@ let decode_page ix ~pid ~page =
   | None -> (
     Obs.incr c_page_faults;
     Obs.incr c_shard_faults.(shard_i);
-    let px = ix.ix_index.(pid) in
-    let off, count = px.px_pages.(page) in
-    match parse_frame ix.ix_raw off with
-    | Ok (F_page { fpid; fentries; _ })
-      when fpid = pid && Array.length fentries = count ->
+    let ((off, _) as slot) = ix.ix_index.(pid).px_pages.(page) in
+    match check_page ix.ix_raw ~pid slot with
+    | Ok fentries ->
       let cost = page_cost fentries in
       Mutex.lock shard.ps_lock;
       let charged = ref 0 in
@@ -990,15 +998,6 @@ let decode_page ix ~pid ~page =
         Resil.Budget.rebalance b
       | _ -> ());
       fentries
-    | Ok (F_page { fpid; fentries; _ }) ->
-      unreadable ix.ix_path
-        "page at byte %d holds %d entries of process %d, the index says %d \
-         of process %d"
-        off (Array.length fentries) fpid count pid
-    | Ok (F_footer _) ->
-      unreadable ix.ix_path "index points at the footer (byte %d)" off
-    | Ok (F_ckpt _) ->
-      unreadable ix.ix_path "index points at a checkpoint frame (byte %d)" off
     | Error reason -> unreadable ix.ix_path "page at byte %d: %s" off reason)
 
 (* Evict cached pages (LRU tails first, round-robin across shards)
@@ -1149,13 +1148,14 @@ let to_log r =
 
 let load path =
   let r = open_file path in
-  match to_log r with
-  | log -> log
-  | exception Unreadable _ when is_indexed r ->
-    (* the index survived but some page did not: fall back to the
-       forward scan and keep the longest valid prefix *)
-    let r = { r with r_backing = salvage (read_file path) } in
-    to_log r
+  match r.r_backing with
+  | B_mem m -> m.bm_log
+  | B_indexed ix -> (
+    try to_log r
+    with Unreadable _ ->
+      (* the index survived but some page did not: fall back to the
+         forward scan and keep the longest valid prefix *)
+      salvage (scan ix.ix_raw))
 
 (* ------------------------------------------------------------------ *)
 (* Verification.                                                        *)
@@ -1175,7 +1175,7 @@ let verify path =
   let sc = scan raw in
   {
     vr_bytes = String.length raw;
-    vr_pages = sc.sc_pages;
+    vr_pages = List.length sc.sc_pages;
     vr_records = sc.sc_nentries;
     vr_indexed = sc.sc_index <> None;
     vr_damage = sc.sc_damage;
@@ -1217,7 +1217,7 @@ let fsck path =
   let bytes = String.length raw in
   check_magic path raw;
   match indexed_backing path raw with
-  | Some (B_indexed ix) ->
+  | Some ix ->
     (* index intact: check each indexed page individually *)
     let pages = ref [] in
     let bad = ref 0 in
@@ -1225,25 +1225,16 @@ let fsck path =
     Array.iteri
       (fun pid px ->
         Array.iteri
-          (fun page (off, count) ->
+          (fun page ((off, count) as slot) ->
             let error =
-              match parse_frame raw off with
-              | Ok (F_page { fpid; fentries; _ })
-                when fpid = pid && Array.length fentries = count ->
+              match check_page raw ~pid slot with
+              | Ok _ ->
+                good_records := !good_records + count;
                 None
-              | Ok (F_page { fpid; fentries; _ }) ->
-                Some
-                  (Printf.sprintf
-                     "holds %d entries of process %d, the index says %d of \
-                      process %d"
-                     (Array.length fentries) fpid count pid)
-              | Ok (F_footer _) -> Some "index points at the footer"
-              | Ok (F_ckpt _) -> Some "index points at a checkpoint frame"
-              | Error reason -> Some reason
+              | Error reason ->
+                incr bad;
+                Some reason
             in
-            (match error with
-            | None -> good_records := !good_records + count
-            | Some _ -> incr bad);
             pages :=
               {
                 fp_pid = pid;
@@ -1270,38 +1261,25 @@ let fsck path =
           0 ix.ix_index;
       fk_clean = !bad = 0;
     }
-  | Some (B_mem _) | None ->
+  | None ->
     (* no usable index: the valid prefix is all we can vouch for *)
     let sc = scan raw in
-    let pages = ref [] in
     let per_pid = Hashtbl.create 8 in
-    let pos = ref (String.length magic) in
-    let stop = ref false in
-    while (not !stop) && !pos < bytes do
-      match parse_frame raw !pos with
-      | Ok (F_page { fpid; fentries; fnext }) ->
-        let ord =
-          match Hashtbl.find_opt per_pid fpid with Some n -> n | None -> 0
-        in
-        Hashtbl.replace per_pid fpid (ord + 1);
-        pages :=
+    let pages =
+      List.map
+        (fun (off, pid, entries) ->
+          let ord = Option.value ~default:0 (Hashtbl.find_opt per_pid pid) in
+          Hashtbl.replace per_pid pid (ord + 1);
           {
-            fp_pid = fpid;
+            fp_pid = pid;
             fp_page = ord;
-            fp_offset = !pos;
-            fp_count = Array.length fentries;
+            fp_offset = off;
+            fp_count = Array.length entries;
             fp_error = None;
-          }
-          :: !pages;
-        pos := fnext
-      | Ok (F_ckpt { fnext; _ }) -> pos := fnext
-      | Ok (F_footer _) | Error _ -> stop := true
-    done;
-    let log =
-      match salvage raw with
-      | B_mem m -> m.bm_log
-      | B_indexed _ -> assert false
+          })
+        sc.sc_pages
     in
+    let log = salvage sc in
     let intervals = ref 0 in
     for pid = 0 to log.L.nprocs - 1 do
       intervals := !intervals + Array.length (L.intervals log ~pid)
@@ -1311,7 +1289,7 @@ let fsck path =
       fk_indexed = false;
       fk_tier = L.tier_name log.L.tier;
       fk_ckpts = List.length sc.sc_ckpts;
-      fk_pages = List.rev !pages;
+      fk_pages = pages;
       fk_damage = sc.sc_damage;
       fk_procs = log.L.nprocs;
       fk_records = sc.sc_nentries;
@@ -1365,7 +1343,7 @@ let repair path ~out =
     }
   in
   match indexed_backing path raw with
-  | Some (B_indexed ix) ->
+  | Some ix ->
     let dropped = ref [] in
     let kept_pages = ref 0 in
     let entries =
@@ -1374,63 +1352,31 @@ let repair path ~out =
           let kept = ref [] in
           let broken = ref None in
           Array.iteri
-            (fun page (off, count) ->
-              match !broken with
-              | Some first_bad ->
+            (fun page ((off, count) as slot) ->
+              let drop reason =
                 dropped :=
                   {
                     rd_pid = pid;
                     rd_page = page;
                     rd_offset = off;
                     rd_records = count;
-                    rd_reason =
-                      Printf.sprintf
-                        "follows damaged page %d of this process" first_bad;
+                    rd_reason = reason;
                   }
                   :: !dropped
+              in
+              match !broken with
+              | Some first_bad ->
+                drop
+                  (Printf.sprintf "follows damaged page %d of this process"
+                     first_bad)
               | None -> (
-                match parse_frame raw off with
-                | Ok (F_page { fpid; fentries; _ })
-                  when fpid = pid && Array.length fentries = count ->
+                match check_page raw ~pid slot with
+                | Ok fentries ->
                   incr kept_pages;
                   kept := fentries :: !kept
-                | Ok (F_page { fpid; fentries; _ }) ->
-                  broken := Some page;
-                  dropped :=
-                    {
-                      rd_pid = pid;
-                      rd_page = page;
-                      rd_offset = off;
-                      rd_records = count;
-                      rd_reason =
-                        Printf.sprintf
-                          "holds %d entries of process %d, the index says \
-                           %d of process %d"
-                          (Array.length fentries) fpid count pid;
-                    }
-                    :: !dropped
-                | Ok (F_footer _ | F_ckpt _) ->
-                  broken := Some page;
-                  dropped :=
-                    {
-                      rd_pid = pid;
-                      rd_page = page;
-                      rd_offset = off;
-                      rd_records = count;
-                      rd_reason = "index points at a non-page frame";
-                    }
-                    :: !dropped
                 | Error reason ->
                   broken := Some page;
-                  dropped :=
-                    {
-                      rd_pid = pid;
-                      rd_page = page;
-                      rd_offset = off;
-                      rd_records = count;
-                      rd_reason = reason;
-                    }
-                    :: !dropped))
+                  drop reason))
             px.px_pages;
           (Array.concat (List.rev !kept), !broken = None))
         ix.ix_index
@@ -1454,12 +1400,8 @@ let repair path ~out =
       }
     in
     finish log ~kept_pages:!kept_pages ~dropped:!dropped
-  | Some (B_mem _) | None ->
+  | None ->
     let sc = scan raw in
-    let backing = salvage raw in
-    let log =
-      match backing with B_mem m -> m.bm_log | B_indexed _ -> assert false
-    in
     let dropped =
       List.map
         (fun d ->
@@ -1472,4 +1414,5 @@ let repair path ~out =
           })
         sc.sc_damage
     in
-    finish log ~kept_pages:sc.sc_pages ~dropped:(List.rev dropped)
+    finish (salvage sc) ~kept_pages:(List.length sc.sc_pages)
+      ~dropped:(List.rev dropped)

@@ -61,9 +61,6 @@ module Writer : sig
   (** Open a segment at the path and write the magic. [tier] (default
       content) is recorded in the footer. *)
 
-  val to_buffer : ?tier:Trace.Log.tier -> Buffer.t -> t
-  (** Same, into a buffer — used to measure encoded sizes. *)
-
   val append_ckpt : t -> Trace.Log.ckpt -> unit
   (** Write a checkpoint as its own frame and index its offset in the
       footer's checkpoint directory. *)
@@ -90,12 +87,16 @@ module Writer : sig
 end
 
 type reader
-(** An open segment. Indexed readers keep the raw bytes plus the footer
-    tables and decode pages lazily, CRC-checked per frame, through a
-    small LRU of decoded pages; salvaged readers hold the recovered
-    prefix in memory. The page LRU is sharded with a lock per shard, so
-    several domains may demand-page through one reader concurrently
-    (the index tables and raw bytes are immutable after open). *)
+(** A log as the debugging phase reads it — the only log source the
+    controller knows. A reader is either indexed or in memory. Indexed
+    readers keep the raw bytes plus the footer tables and decode pages
+    lazily through a small LRU of decoded pages, each page checked
+    against the index by the same check {!fsck} and {!repair} use. In
+    memory readers hold a whole log: one built by {!of_log}, or the
+    prefix salvaged from a damaged file. The page LRU is sharded with a
+    lock per shard, so several domains may demand-page through one
+    reader concurrently (the index tables and raw bytes are immutable
+    after open). *)
 
 val open_file : ?budget:Resil.Budget.t -> string -> reader
 (** Open a v2 segment: indexed when the trailer and footer are intact,
@@ -105,13 +106,18 @@ val open_file : ?budget:Resil.Budget.t -> string -> reader
     corresponding reclaimer. @raise Unreadable on a foreign, legacy or
     hopeless file. *)
 
+val of_log : Trace.Log.t -> reader
+(** An in-memory reader over a whole log. It neither encodes the log
+    nor touches a file: {!file_bytes} is [0] and {!is_indexed} is
+    false. *)
+
 val reclaim_cache : reader -> int -> int
 (** [reclaim_cache r want] evicts cached pages (LRU tails first,
     round-robin across the shards) until at least [want] accounted
     bytes are freed or the cache is empty. Returns the bytes freed and
     releases them from the attached budget itself. Always safe: an
     evicted page is re-parsed from the raw segment on the next touch.
-    [0] for salvaged readers (they hold the log, not a cache). *)
+    [0] for in-memory readers (they hold the log, not a cache). *)
 
 val clear_cache : reader -> unit
 (** Evict every cached page (releasing the budget charge). *)
@@ -123,17 +129,18 @@ val version : reader -> int
 (** Always 2, the only format this build reads. *)
 
 val file_bytes : reader -> int
-(** On-disk size of the file that was opened. *)
+(** On-disk size of the file that was opened; [0] for {!of_log}. *)
 
 val is_indexed : reader -> bool
 (** True when the footer index is driving reads (no salvage needed). *)
 
 val damage : reader -> damage list
-(** What the salvage scan found; [[]] for an intact file. *)
+(** What the salvage scan found; [[]] for an intact file and for
+    {!of_log}. *)
 
 val tier : reader -> Trace.Log.tier
-(** The logging tier recorded in the footer; [T_content] for salvaged
-    files whose footer was lost. *)
+(** The logging tier recorded in the footer (or in the log given to
+    {!of_log}); [T_content] for salvaged files whose footer was lost. *)
 
 val ckpts : reader -> Trace.Log.ckpt array
 (** The decoded checkpoints, in step order. *)
@@ -149,7 +156,7 @@ val pid_entry_count : reader -> pid:int -> int
 val intervals :
   reader -> stmt_fid:(int -> int) -> pid:int -> Trace.Log.interval array
 (** The process's interval tree — materialised from the footer table
-    (no page decoding) when indexed, recomputed from the salvaged
+    (no page decoding) when indexed, recomputed from the in-memory
     entries otherwise. [stmt_fid] supplies the fid of loop blocks,
     which the footer does not store. *)
 

@@ -208,6 +208,60 @@ let test_fsck_finds_mid_file_damage () =
              p.S.fp_offset = victim.S.fp_offset && p.S.fp_error <> None)
            rp'.S.fk_pages))
 
+(* fsck and repair judge an indexed page by the same check: under every
+   single-byte flip that leaves the index usable, the first page fsck
+   flags in a process is the first page repair drops there, at the
+   same offset and for the same reason. *)
+let test_fsck_and_repair_agree_on_flips () =
+  let _eb, log = logged Workloads.fig61 in
+  with_tmp (fun path ->
+      with_tmp (fun out ->
+          S.save path log;
+          let full = In_channel.with_open_bin path In_channel.input_all in
+          let compared = ref 0 in
+          for off = 0 to String.length full - 1 do
+            List.iter
+              (fun mask ->
+                let b = Bytes.of_string full in
+                Bytes.set b off
+                  (Char.chr (Char.code (Bytes.get b off) lxor mask));
+                Out_channel.with_open_bin path (fun oc ->
+                    Out_channel.output_bytes oc b);
+                match S.fsck path with
+                | exception S.Unreadable _ -> ()
+                | fk when not fk.S.fk_indexed -> ()
+                | fk ->
+                  let rp = S.repair path ~out in
+                  incr compared;
+                  for pid = 0 to fk.S.fk_procs - 1 do
+                    let flagged =
+                      List.find_map
+                        (fun p ->
+                          match p.S.fp_error with
+                          | Some reason when p.S.fp_pid = pid ->
+                            Some (p.S.fp_page, p.S.fp_offset, reason)
+                          | _ -> None)
+                        fk.S.fk_pages
+                    in
+                    let dropped =
+                      List.find_map
+                        (fun d ->
+                          if d.S.rd_pid = pid then
+                            Some (d.S.rd_page, d.S.rd_offset, d.S.rd_reason)
+                          else None)
+                        rp.S.rp_dropped
+                    in
+                    if flagged <> dropped then
+                      Alcotest.failf
+                        "byte %d xor 0x%02x, process %d: fsck and repair \
+                         disagree"
+                        off mask pid
+                  done)
+              [ 0x01; 0x80; 0xff ]
+          done;
+          Alcotest.(check bool) "some flips keep the index" true
+            (!compared > 0)))
+
 (* -------------------------------------------------------------- *)
 (* Degraded-mode controller: holes, retries, watchdog *)
 
@@ -381,6 +435,8 @@ let suite =
       Alcotest.test_case "fsck on a clean file" `Quick test_fsck_clean_run;
       Alcotest.test_case "fsck pinpoints mid-file damage" `Quick
         test_fsck_finds_mid_file_damage;
+      Alcotest.test_case "fsck and repair agree under byte flips" `Quick
+        test_fsck_and_repair_agree_on_flips;
       Alcotest.test_case "transient pool fault retried, graph identical"
         `Quick test_transient_pool_fault_retried;
       Alcotest.test_case "exhausted retries become a hole" `Quick

@@ -331,6 +331,60 @@ let test_salvaged_reader_still_debugs () =
       Alcotest.(check bool) "graph non-empty" true
         (DG.nnodes (Ppd.Controller.graph ctl) > 0))
 
+(* The controller's one log source: an in-memory reader over a log and
+   an indexed reader over the same log saved to disk answer every
+   question the controller asks identically. *)
+let readers_agree name eb log =
+  with_tmp (fun path ->
+      S.save path log;
+      let mem = S.of_log log and disk = S.open_file path in
+      Alcotest.(check bool) (name ^ " of_log in memory") false
+        (S.is_indexed mem);
+      Alcotest.(check int) (name ^ " of_log has no file") 0 (S.file_bytes mem);
+      Alcotest.(check bool) (name ^ " open_file indexed") true
+        (S.is_indexed disk);
+      let agree what a b =
+        if a <> b then Alcotest.failf "%s: readers disagree on %s" name what
+      in
+      let stmt_fid sid = eb.Analysis.Eblock.prog.Lang.Prog.stmt_fid.(sid) in
+      agree "nprocs" (S.nprocs mem) (S.nprocs disk);
+      agree "stops" (S.stops mem) (S.stops disk);
+      agree "entry_count" (S.entry_count mem) (S.entry_count disk);
+      for pid = 0 to S.nprocs mem - 1 do
+        let n = S.pid_entry_count mem ~pid in
+        agree "pid_entry_count" n (S.pid_entry_count disk ~pid);
+        let ivs = S.intervals mem ~stmt_fid ~pid in
+        agree "intervals" ivs (S.intervals disk ~stmt_fid ~pid);
+        Array.iter
+          (fun iv ->
+            agree "interval_step" (S.interval_step mem iv)
+              (S.interval_step disk iv))
+          ivs;
+        for idx = 0 to n - 1 do
+          agree "entry" (S.entry mem ~pid ~idx) (S.entry disk ~pid ~idx)
+        done;
+        for reader_seq = 0 to (S.stops mem).(pid) do
+          agree "snapshot_step"
+            (S.snapshot_step mem ~pid ~reader_seq)
+            (S.snapshot_step disk ~pid ~reader_seq)
+        done
+      done)
+
+let test_of_log_equals_open_file () =
+  List.iter
+    (fun (name, src) ->
+      let eb, log = run_log src in
+      readers_agree name eb log)
+    Workloads.all_fixed;
+  for seed = 0 to 9 do
+    let eb, log =
+      run_log
+        ~sched:(Runtime.Sched.Random_seed seed)
+        (Gen.parallel ~protect:`Sometimes seed)
+    in
+    readers_agree (Printf.sprintf "parallel seed %d" seed) eb log
+  done
+
 let suite =
   ( "store",
     [
@@ -352,4 +406,6 @@ let suite =
       paged_prop;
       Alcotest.test_case "salvaged file still debugs" `Quick
         test_salvaged_reader_still_debugs;
+      Alcotest.test_case "of_log reader = open_file reader" `Quick
+        test_of_log_equals_open_file;
     ] )
