@@ -2,12 +2,14 @@
    EXPERIMENTS.md (the paper's quantitative claims plus the ablations
    its §5.4/§7 discussions call for).
 
-   Usage:  dune exec bench/main.exe            -- everything
-           dune exec bench/main.exe -- t1 t5   -- selected experiments
+   Usage:  dune exec bench/main.exe                   -- everything
+           dune exec bench/main.exe -- t1 t5          -- selected experiments
+           dune exec bench/main.exe -- --json t2 t9   -- tables as one JSON object
 
    Timings come from Bechamel (one Test.make per measured variant,
    grouped per table); counts (log entries, bytes, pairs, replays) are
-   computed directly. *)
+   computed directly. A table builds its rows once, as JSON objects;
+   one console printer and one JSON printer show every table. *)
 
 open Bechamel
 
@@ -39,21 +41,106 @@ let measure_tests ?(quota = 0.4) (tests : Test.t) : (string * float) list =
 let time_of results name =
   match List.assoc_opt name results with Some t -> t | None -> nan
 
+(* Derived columns; nan (JSON null, console "n/a") when the base is not
+   a usable measurement. *)
+let ratio a b = if b = 0. then nan else a /. b
+
+let ovh_pct base v = ratio ((v -. base) *. 100.) base
+
+(* ------------------------------------------------------------------ *)
+(* Tables and their two printers.                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [run] measures and builds the rows once: a list of [Json.Obj] rows,
+   or an object of scalars beside a [rows] list. A row value that is
+   itself a list of objects is a nested sub-table. *)
+type table = { id : string; title : string; note : string; run : unit -> Json.t }
+
 let fmt_ns ns =
   if Float.is_nan ns then "n/a"
   else if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
   else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
   else if ns >= 1e3 then Printf.sprintf "%.1f µs" (ns /. 1e3)
-  else Printf.sprintf "%.0f ns" ns
-
-let pct base v =
-  if Float.is_nan base || base = 0. then "n/a"
-  else Printf.sprintf "%+.1f%%" ((v -. base) /. base *. 100.)
+  else if ns >= 10. then Printf.sprintf "%.0f ns" ns
+  else Printf.sprintf "%.2f ns" ns
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
-let row fmt = Printf.printf fmt
+let cell key = function
+  | Json.Bool b -> if b then "yes" else "no"
+  | Json.Int i -> string_of_int i
+  | Json.Float f when String.ends_with ~suffix:"_ns" key -> fmt_ns f
+  | Json.Float f when Float.is_nan f -> "n/a"
+  | Json.Float f when String.ends_with ~suffix:"_pct" key ->
+    Printf.sprintf "%.1f%%" f
+  | Json.Float f -> Printf.sprintf "%.4g" f
+  | Json.Str s -> s
+  | (Json.Null | Json.List _ | Json.Obj _) as v -> Json.to_string v
+
+(* Display width: fmt_ns prints a two-byte "µ". *)
+let width s =
+  String.fold_left
+    (fun n c -> if Char.code c land 0xc0 = 0x80 then n else n + 1)
+    0 s
+
+(* Columns are the union of the row keys in first-seen order; a missing
+   cell prints blank, and a nested row list prints indented under its
+   row. *)
+let rec print_rows indent rows =
+  let rows = List.filter_map (function Json.Obj f -> Some f | _ -> None) rows in
+  let nested = function Json.List _ -> true | _ -> false in
+  let cols =
+    List.fold_left
+      (List.fold_left (fun cols (k, v) ->
+           if nested v || List.mem k cols then cols else cols @ [ k ]))
+      [] rows
+  in
+  let text row k = Option.fold ~none:"" ~some:(cell k) (List.assoc_opt k row) in
+  let widths =
+    List.map
+      (fun k ->
+        List.fold_left (fun w row -> max w (width (text row k))) (width k) rows)
+      cols
+  in
+  let line cells =
+    let padded =
+      List.mapi
+        (fun i (c, w) ->
+          let pad = String.make (w - width c) ' ' in
+          if i = 0 then c ^ pad else "  " ^ pad ^ c)
+        (List.combine cells widths)
+    in
+    (* trim: blank trailing cells leave no trailing spaces *)
+    print_endline (indent ^ String.trim (String.concat "" padded))
+  in
+  line cols;
+  List.iter
+    (fun row ->
+      line (List.map (text row) cols);
+      List.iter
+        (function _, Json.List sub -> print_rows (indent ^ "    ") sub | _ -> ())
+        row)
+    rows
+
+let rec print_value key = function
+  | Json.List rows -> print_rows "" rows
+  | Json.Obj fields -> List.iter (fun (k, v) -> print_value k v) fields
+  | v -> Printf.printf "%s: %s\n" key (cell key v)
+
+let print_table t =
+  header t.title;
+  print_value t.id (t.run ());
+  if t.note <> "" then print_endline t.note
+
+(* One object for any selection of tables, plus the host core count so
+   downstream gates can tell whether a speedup was even possible. *)
+let print_json tables =
+  print_endline
+    (Json.to_string
+       (Json.Obj
+          (("host_cores", Json.Int (Exec.Pool.default_jobs ()))
+          :: List.map (fun t -> (t.id, t.run ())) tables)))
 
 (* ------------------------------------------------------------------ *)
 (* Shared run helpers.                                                  *)
@@ -63,17 +150,17 @@ let sched = Runtime.Sched.Round_robin 4
 
 let compile = Lang.Compile.compile
 
-let run_bare prog =
-  let m = Runtime.Machine.create ~sched ~max_steps:5_000_000 prog in
-  ignore (Runtime.Machine.run m)
+let machine ?engine ?hooks ?(max_steps = 5_000_000) prog =
+  let m = Runtime.Machine.create ?engine ~sched ~max_steps ?hooks prog in
+  ignore (Runtime.Machine.run m);
+  m
 
-let run_logged eb =
+let run_bare ?engine ?max_steps prog = ignore (machine ?engine ?max_steps prog)
+
+let run_logged ?engine eb =
   let logger = Trace.Logger.create eb in
-  let m =
-    Runtime.Machine.create ~sched ~max_steps:5_000_000
-      ~hooks:(Trace.Logger.factory logger) eb.Analysis.Eblock.prog
-  in
-  ignore (Runtime.Machine.run m)
+  ignore
+    (machine ?engine ~hooks:(Trace.Logger.factory logger) eb.Analysis.Eblock.prog)
 
 let run_logged_race eb =
   let logger = Trace.Logger.create eb in
@@ -81,47 +168,21 @@ let run_logged_race eb =
   let hooks =
     Runtime.Hooks.both (Trace.Logger.factory logger) (Ppd.Pardyn.factory obs)
   in
-  let m =
-    Runtime.Machine.create ~sched ~max_steps:5_000_000 ~hooks
-      eb.Analysis.Eblock.prog
-  in
-  ignore (Runtime.Machine.run m)
-
-let logged_artifacts src =
-  let prog = compile src in
-  let eb = Analysis.Eblock.analyze prog in
-  let logger = Trace.Logger.create eb in
-  let ft = Trace.Full_trace.create () in
-  let hooks =
-    Runtime.Hooks.both (Trace.Logger.factory logger) (Trace.Full_trace.factory ft)
-  in
-  let m =
-    Runtime.Machine.create ~sched ~max_steps:5_000_000 ~hooks prog
-  in
-  let halt = Runtime.Machine.run m in
-  (eb, halt, Trace.Logger.finish logger, Trace.Full_trace.finish ft, m)
-
-let run_bare_e engine prog =
-  let m = Runtime.Machine.create ~engine ~sched ~max_steps:5_000_000 prog in
-  ignore (Runtime.Machine.run m)
+  ignore (machine ~hooks eb.Analysis.Eblock.prog)
 
 (* Events materialized (nil hooks count as instrumentation) but nothing
    consumes them: isolates the cost of producing the event stream from
    the cost of the logger proper. *)
-let run_instr_vm prog =
-  let m =
-    Runtime.Machine.create ~sched ~max_steps:5_000_000 ~hooks:Runtime.Hooks.nil
-      prog
-  in
-  ignore (Runtime.Machine.run m)
+let run_instr_vm prog = ignore (machine ~hooks:Runtime.Hooks.nil prog)
 
-let run_logged_e engine eb =
-  let logger = Trace.Logger.create eb in
-  let m =
-    Runtime.Machine.create ~engine ~sched ~max_steps:5_000_000
-      ~hooks:(Trace.Logger.factory logger) eb.Analysis.Eblock.prog
+let logged_artifacts src =
+  let eb = Analysis.Eblock.analyze (compile src) in
+  let ft = Trace.Full_trace.create () in
+  let _, log, m =
+    Trace.Logger.run_logged ~sched ~max_steps:5_000_000
+      ~extra_hooks:(Trace.Full_trace.factory ft) eb
   in
-  ignore (Runtime.Machine.run m)
+  (eb, log, Trace.Full_trace.finish ft, m)
 
 (* The workload suite used by T1 and T2. *)
 let workloads =
@@ -138,81 +199,11 @@ let workloads =
 (* T1: execution-phase overhead of logging (§7: "less than 15%").       *)
 (* ------------------------------------------------------------------ *)
 
-(* Engine comparison rows, shared by the console table and `--json t1`
-   (consumed by scripts/perf_gate.py check_t1_vm). Steps/run is
-   identical across engines — the differential oracle proves it — so
-   steps/sec ratios reduce to wall-time ratios. *)
-type t1_row = {
-  t1_name : string;
-  t1_steps : int;
-  t1_interp_bare_ns : float;
-  t1_interp_logged_ns : float;
-  t1_vm_bare_ns : float;
-  t1_vm_instr_ns : float;
-  t1_vm_logged_ns : float;
-}
-
-let t1_rows () =
-  let tests =
-    List.concat_map
-      (fun (name, src) ->
-        let prog = compile src in
-        let eb = Analysis.Eblock.analyze prog in
-        [
-          Test.make ~name:(name ^ "/interp-bare")
-            (Staged.stage (fun () ->
-                 run_bare_e Runtime.Machine.Interp_engine prog));
-          Test.make ~name:(name ^ "/interp-logged")
-            (Staged.stage (fun () ->
-                 run_logged_e Runtime.Machine.Interp_engine eb));
-          Test.make ~name:(name ^ "/vm-bare")
-            (Staged.stage (fun () -> run_bare_e Runtime.Machine.Vm_engine prog));
-          Test.make ~name:(name ^ "/vm-instr")
-            (Staged.stage (fun () -> run_instr_vm prog));
-          Test.make ~name:(name ^ "/vm-logged")
-            (Staged.stage (fun () ->
-                 run_logged_e Runtime.Machine.Vm_engine eb));
-        ])
-      workloads
-  in
-  let results = measure_tests ~quota:0.6 (Test.make_grouped ~name:"t1e" tests) in
-  List.map
-    (fun (name, src) ->
-      let prog = compile src in
-      let m = Runtime.Machine.create ~sched ~max_steps:5_000_000 prog in
-      ignore (Runtime.Machine.run m);
-      let t k = time_of results ("t1e/" ^ name ^ "/" ^ k) in
-      {
-        t1_name = name;
-        t1_steps = Runtime.Machine.nsteps m;
-        t1_interp_bare_ns = t "interp-bare";
-        t1_interp_logged_ns = t "interp-logged";
-        t1_vm_bare_ns = t "vm-bare";
-        t1_vm_instr_ns = t "vm-instr";
-        t1_vm_logged_ns = t "vm-logged";
-      })
-    workloads
-
-let t1 () =
-  header "T1  Execution-phase overhead of incremental tracing (paper §7: <15%)";
-  let speedup b v =
-    if Float.is_nan b || Float.is_nan v || v = 0. then "n/a"
-    else Printf.sprintf "%.1fx" (b /. v)
-  in
-  let rows = t1_rows () in
-  row "%-14s %8s %11s %11s %8s %11s %11s %9s\n" "workload" "steps" "interp"
-    "vm" "speedup" "vm+events" "vm+log" "log ovh";
-  List.iter
-    (fun r ->
-      row "%-14s %8d %11s %11s %8s %11s %11s %9s\n" r.t1_name r.t1_steps
-        (fmt_ns r.t1_interp_bare_ns) (fmt_ns r.t1_vm_bare_ns)
-        (speedup r.t1_interp_bare_ns r.t1_vm_bare_ns)
-        (fmt_ns r.t1_vm_instr_ns) (fmt_ns r.t1_vm_logged_ns)
-        (pct r.t1_vm_instr_ns r.t1_vm_logged_ns))
-    rows;
-  print_endline
-    "(vm = default bytecode engine, interp = AST-walking oracle; log ovh\n\
-    \      compares vm+log against vm+events: the cost the paper bounds at 15%)";
+(* One Bechamel pass times every variant. The first seven keys are what
+   scripts/perf_gate.py check_t1_vm reads. Steps/run is identical across
+   engines — the differential oracle proves it — so steps/sec ratios
+   reduce to wall-time ratios. *)
+let t1_run () =
   let tests =
     List.concat_map
       (fun (name, src) ->
@@ -223,30 +214,59 @@ let t1 () =
             ~policy:{ Analysis.Eblock.leaf_inline_max_stmts = 4; loop_block_min_body = 0 }
             prog
         in
+        let test k f = Test.make ~name:(name ^ "/" ^ k) (Staged.stage f) in
+        let interp = Runtime.Machine.Interp_engine in
         [
-          Test.make ~name:(name ^ "/bare") (Staged.stage (fun () -> run_bare prog));
-          Test.make ~name:(name ^ "/logged") (Staged.stage (fun () -> run_logged eb));
-          Test.make ~name:(name ^ "/inline4")
-            (Staged.stage (fun () -> run_logged eb54));
-          Test.make ~name:(name ^ "/logged+race")
-            (Staged.stage (fun () -> run_logged_race eb));
+          test "interp-bare" (fun () -> run_bare ~engine:interp prog);
+          test "interp-logged" (fun () -> run_logged ~engine:interp eb);
+          test "vm-bare" (fun () -> run_bare prog);
+          test "vm-instr" (fun () -> run_instr_vm prog);
+          test "vm-logged" (fun () -> run_logged eb);
+          test "inline4" (fun () -> run_logged eb54);
+          test "logged+race" (fun () -> run_logged_race eb);
         ])
       workloads
   in
-  let results = measure_tests ~quota:0.8 (Test.make_grouped ~name:"t1" tests) in
-  row "%-14s %11s %11s %9s %11s %9s %13s %9s\n" "workload" "bare" "logged"
-    "ovh" "inline<=4" "ovh" "logged+race" "ovh";
-  List.iter
-    (fun (name, _) ->
-      let b = time_of results ("t1/" ^ name ^ "/bare") in
-      let l = time_of results ("t1/" ^ name ^ "/logged") in
-      let i = time_of results ("t1/" ^ name ^ "/inline4") in
-      let r = time_of results ("t1/" ^ name ^ "/logged+race") in
-      row "%-14s %11s %11s %9s %11s %9s %13s %9s\n" name (fmt_ns b) (fmt_ns l)
-        (pct b l) (fmt_ns i) (pct b i) (fmt_ns r) (pct b r))
-    workloads;
-  print_endline
-    "(paper's informal measurement: tracing added <15% to execution time;\n      inline<=4 applies the paper's own \xc2\xa75.4 fix: no e-blocks for small leaves)"
+  let results = measure_tests ~quota:0.6 (Test.make_grouped ~name:"t1" tests) in
+  Json.List
+    (List.map
+       (fun (name, src) ->
+         let t k = time_of results ("t1/" ^ name ^ "/" ^ k) in
+         let bare = t "vm-bare" and instr = t "vm-instr" in
+         let logged = t "vm-logged" in
+         let inline4 = t "inline4" and race = t "logged+race" in
+         Json.(
+           Obj
+             [
+               ("workload", Str name);
+               ("steps", Int (Runtime.Machine.nsteps (machine (compile src))));
+               ("interp_bare_ns", Float (t "interp-bare"));
+               ("interp_logged_ns", Float (t "interp-logged"));
+               ("vm_bare_ns", Float bare);
+               ("vm_instr_ns", Float instr);
+               ("vm_logged_ns", Float logged);
+               ("speedup", Float (ratio (t "interp-bare") bare));
+               ("log_ovh_pct", Float (ovh_pct instr logged));
+               ("logged_ovh_pct", Float (ovh_pct bare logged));
+               ("inline4_ns", Float inline4);
+               ("inline4_ovh_pct", Float (ovh_pct bare inline4));
+               ("logged_race_ns", Float race);
+               ("race_ovh_pct", Float (ovh_pct bare race));
+             ]))
+       workloads)
+
+let t1 =
+  {
+    id = "t1";
+    title = "T1  Execution-phase overhead of incremental tracing (paper §7: <15%)";
+    note =
+      "(vm = default bytecode engine, interp = AST-walking oracle; log_ovh\n\
+      \      compares vm+log against vm+events: the cost the paper bounds at \
+       15%;\n\
+      \      the other overheads are against vm_bare; inline4 applies the\n\
+      \      paper's own \xc2\xa75.4 fix: no e-blocks for small leaves)";
+    run = t1_run;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* T2: log volume vs trace-everything (§2/§3.1).                        *)
@@ -286,20 +306,31 @@ let trace_bytes (tr : Trace.Full_trace.t) =
     (fun a (r : Trace.Full_trace.rec_) -> a + 16 + (8 * words r.tr_ev))
     0 tr.Trace.Full_trace.recs
 
-let t2 () =
-  header "T2  Log volume: incremental tracing vs trace-everything baseline";
-  row "%-14s %10s %12s %12s %12s %8s\n" "workload" "log entrs" "log bytes"
-    "trace evts" "trace bytes" "ratio";
-  List.iter
-    (fun (name, src) ->
-      let _eb, _halt, log, tr, _m = logged_artifacts src in
-      let le = Trace.Log.entry_count log in
-      let lb = Store.Segment.encoded_size log in
-      let te = Trace.Full_trace.nevents tr in
-      let tb = trace_bytes tr in
-      row "%-14s %10d %12d %12d %12d %7.1fx\n" name le lb te tb
-        (float_of_int tb /. float_of_int (max 1 lb)))
-    workloads
+let t2 =
+  {
+    id = "t2";
+    title = "T2  Log volume: incremental tracing vs trace-everything baseline";
+    note = "(ratio = trace_bytes / log_bytes)";
+    run =
+      (fun () ->
+        Json.List
+          (List.map
+             (fun (name, src) ->
+               let _eb, log, tr, _m = logged_artifacts src in
+               let lb = Store.Segment.encoded_size log in
+               let tb = trace_bytes tr in
+               Json.(
+                 Obj
+                   [
+                     ("workload", Str name);
+                     ("log_entries", Int (Trace.Log.entry_count log));
+                     ("log_bytes", Int lb);
+                     ("trace_events", Int (Trace.Full_trace.nevents tr));
+                     ("trace_bytes", Int tb);
+                     ("ratio", Float (float_of_int tb /. float_of_int (max 1 lb)));
+                   ]))
+             workloads));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* T3: e-block granularity (§5.4): execution cost vs debugging cost.    *)
@@ -338,80 +369,61 @@ func main() {
 }
 |}
 
-let t3 () =
-  header "T3  E-block granularity (§5.4): leaf inlining threshold sweep";
-  row "%-10s %10s %12s %16s %16s\n" "threshold" "e-blocks" "log entries"
-    "steps (shallow)" "steps (slice)";
-  List.iter
-    (fun threshold ->
-      let prog = compile granularity_src in
-      let policy = { Analysis.Eblock.leaf_inline_max_stmts = threshold; loop_block_min_body = 0 } in
-      let eb = Analysis.Eblock.analyze ~policy prog in
-      let logger = Trace.Logger.create eb in
-      let m =
-        Runtime.Machine.create ~sched ~hooks:(Trace.Logger.factory logger) prog
-      in
-      ignore (Runtime.Machine.run m);
-      let log = Trace.Logger.finish logger in
-      let nblocks =
-        Array.fold_left (fun a b -> if b then a + 1 else a) 0 eb.is_eblock
-      in
-      (* two debugging-phase queries: a shallow one (immediate
-         dependences of the error — §3.2.3's first screen) and the full
-         slice *)
-      let ctl = Ppd.Controller.start eb log in
-      (match Ppd.Controller.last_event_node ctl ~pid:0 with
-      | Some root -> ignore (Ppd.Flowback.dependences ctl root)
-      | None -> ());
-      let shallow = Ppd.Controller.stats ctl in
-      let ctl2 = Ppd.Controller.start eb log in
-      (match Ppd.Controller.last_event_node ctl2 ~pid:0 with
-      | Some root -> ignore (Ppd.Flowback.backward_slice ctl2 root)
-      | None -> ());
-      let full = Ppd.Controller.stats ctl2 in
-      row "%-10d %10d %12d %16d %16d\n" threshold nblocks
-        (Trace.Log.entry_count log) shallow.Ppd.Controller.replay_steps
-        full.Ppd.Controller.replay_steps)
-    [ 0; 1; 3; 5; 100 ];
-  print_endline
-    "(larger blocks: fewer log entries during execution, but the first\n      debugging-phase question costs more re-execution)";
-  (* the same trade-off for loop e-blocks (§5.4's other knob): matmul's
-     nested loops dominate main, so promoting them to blocks makes the
-     first query cheap at the cost of per-loop logging *)
-  print_endline "";
-  row "%-18s %12s %16s %16s\n" "loop threshold" "log entries"
-    "steps (shallow)" "steps (slice)";
-  List.iter
-    (fun threshold ->
-      let prog = compile (Workloads.matmul 8) in
-      let policy =
-        { Analysis.Eblock.leaf_inline_max_stmts = 0;
-          loop_block_min_body = threshold }
-      in
-      let eb = Analysis.Eblock.analyze ~policy prog in
-      let logger = Trace.Logger.create eb in
-      let m =
-        Runtime.Machine.create ~sched ~hooks:(Trace.Logger.factory logger) prog
-      in
-      ignore (Runtime.Machine.run m);
-      let log = Trace.Logger.finish logger in
-      let ctl = Ppd.Controller.start eb log in
-      (match Ppd.Controller.last_event_node ctl ~pid:0 with
-      | Some root -> ignore (Ppd.Flowback.dependences ctl root)
-      | None -> ());
-      let shallow = Ppd.Controller.stats ctl in
-      let ctl2 = Ppd.Controller.start eb log in
-      (match Ppd.Controller.last_event_node ctl2 ~pid:0 with
-      | Some root -> ignore (Ppd.Flowback.backward_slice ctl2 root)
-      | None -> ());
-      let full = Ppd.Controller.stats ctl2 in
-      row "%-18s %12d %16d %16d\n"
-        (if threshold = 0 then "off" else string_of_int threshold)
-        (Trace.Log.entry_count log) shallow.Ppd.Controller.replay_steps
-        full.Ppd.Controller.replay_steps)
-    [ 0; 8; 4; 2 ];
-  print_endline
-    "(loop e-blocks let the debugger skip matmul's loop nests until asked)"
+(* Two debugging-phase queries per policy: a shallow one (immediate
+   dependences of the error — §3.2.3's first screen) and the full
+   slice. *)
+let t3_row knob threshold src policy =
+  let eb = Analysis.Eblock.analyze ~policy (compile src) in
+  let _, log, _ = Trace.Logger.run_logged ~sched eb in
+  let replay_steps query =
+    let ctl = Ppd.Controller.start eb log in
+    (match Ppd.Controller.last_event_node ctl ~pid:0 with
+    | Some root -> ignore (query ctl root)
+    | None -> ());
+    (Ppd.Controller.stats ctl).Ppd.Controller.replay_steps
+  in
+  let fblocks =
+    Array.fold_left (fun a b -> if b then a + 1 else a) 0 eb.is_eblock
+  in
+  Json.(
+    Obj
+      [
+        ("knob", Str knob);
+        ("threshold", Int threshold);
+        ("eblocks", Int (fblocks + Hashtbl.length eb.loop_blocks));
+        ("log_entries", Int (Trace.Log.entry_count log));
+        ( "steps_shallow",
+          Int (replay_steps (fun c r -> ignore (Ppd.Flowback.dependences c r))) );
+        ( "steps_slice",
+          Int (replay_steps (fun c r -> ignore (Ppd.Flowback.backward_slice c r)))
+        );
+      ])
+
+(* The same trade-off for loop e-blocks (§5.4's other knob): matmul's
+   nested loops dominate main, so promoting them to blocks makes the
+   first query cheap at the cost of per-loop logging. *)
+let t3 =
+  {
+    id = "t3";
+    title = "T3  E-block granularity (§5.4): leaf inlining threshold sweep";
+    note =
+      "(larger blocks: fewer log entries during execution, but the first\n\
+      \      debugging-phase question costs more re-execution; loop e-blocks\n\
+      \      (threshold 0 = off) let the debugger skip matmul's loop nests\n\
+      \      until asked)";
+    run =
+      (fun () ->
+        let block leaf loop =
+          { Analysis.Eblock.leaf_inline_max_stmts = leaf; loop_block_min_body = loop }
+        in
+        Json.List
+          (List.map
+             (fun th -> t3_row "leaf" th granularity_src (block th 0))
+             [ 0; 1; 3; 5; 100 ]
+          @ List.map
+              (fun th -> t3_row "loop" th (Workloads.matmul 8) (block 0 th))
+              [ 0; 8; 4; 2 ]));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* T4: bitmask vs list variable sets (§7).                              *)
@@ -435,8 +447,7 @@ let modref_src ~nfuncs ~nglobals =
     (Printf.sprintf "func main() { var r = f%d(1); print(r); }\n" (nfuncs - 1));
   Buffer.contents b
 
-let t4 () =
-  header "T4  Variable-set representation (§7): bitmask vs sorted list";
+let t4_run () =
   let sizes = [ (20, 10); (60, 30); (150, 75) ] in
   let tests =
     List.concat_map
@@ -455,252 +466,285 @@ let t4 () =
       sizes
   in
   let results = measure_tests (Test.make_grouped ~name:"t4" tests) in
-  row "%-12s %12s %12s %10s\n" "program" "bitmask" "list" "speedup";
-  List.iter
-    (fun (nfuncs, _) ->
-      let b = time_of results (Printf.sprintf "t4/%d-funcs/bitmask" nfuncs) in
-      let l = time_of results (Printf.sprintf "t4/%d-funcs/list" nfuncs) in
-      row "%-12s %12s %12s %9.1fx\n"
-        (Printf.sprintf "%d funcs" nfuncs)
-        (fmt_ns b) (fmt_ns l) (l /. b))
-    sizes;
-  print_endline
-    "(the paper: \"bit-mask representations ... can have a large payoff\")"
+  Json.List
+    (List.map
+       (fun (nfuncs, _) ->
+         let b = time_of results (Printf.sprintf "t4/%d-funcs/bitmask" nfuncs) in
+         let l = time_of results (Printf.sprintf "t4/%d-funcs/list" nfuncs) in
+         Json.(
+           Obj
+             [
+               ("funcs", Int nfuncs);
+               ("bitmask_ns", Float b);
+               ("list_ns", Float l);
+               ("speedup", Float (ratio l b));
+             ]))
+       sizes)
+
+let t4 =
+  {
+    id = "t4";
+    title = "T4  Variable-set representation (§7): bitmask vs sorted list";
+    note = "(the paper: \"bit-mask representations ... can have a large payoff\")";
+    run = t4_run;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* T5: race detection algorithms (§7).                                  *)
 (* ------------------------------------------------------------------ *)
 
-let t5 () =
-  header "T5  All-pairs conflict detection (§7): naive vs per-variable index";
-  row "%-12s %8s %12s %12s %12s %12s %14s\n" "workload" "edges" "naive pairs"
-    "naive time" "index pairs" "index time" "static time";
-  List.iter
-    (fun workers ->
-      let src = Workloads.counter ~workers ~incs:6 ~mutex:false in
-      let prog = compile src in
-      let obs = Ppd.Pardyn.observer prog in
-      let m =
-        Runtime.Machine.create ~sched ~hooks:(Ppd.Pardyn.factory obs) prog
-      in
-      ignore (Runtime.Machine.run m);
-      let g = Ppd.Pardyn.finish obs in
-      let naive = Ppd.Race.detect ~algo:Ppd.Race.Naive g in
-      let indexed = Ppd.Race.detect ~algo:Ppd.Race.Indexed g in
-      assert (naive.Ppd.Race.races = indexed.Ppd.Race.races);
-      let tests =
-        Test.make_grouped ~name:"t5"
-          [
-            Test.make ~name:"naive"
-              (Staged.stage (fun () -> ignore (Ppd.Race.detect ~algo:Ppd.Race.Naive g)));
-            Test.make ~name:"indexed"
-              (Staged.stage (fun () ->
-                   ignore (Ppd.Race.detect ~algo:Ppd.Race.Indexed g)));
-            Test.make ~name:"static"
-              (Staged.stage (fun () ->
-                   ignore (Analysis.Static_race.analyze prog)));
-          ]
-      in
-      let results = measure_tests ~quota:0.25 tests in
-      row "%-12s %8d %12d %12s %12d %12s %14s\n"
-        (Printf.sprintf "%d workers" workers)
-        (Array.length g.Ppd.Pardyn.iedges)
-        naive.Ppd.Race.pairs_examined
-        (fmt_ns (time_of results "t5/naive"))
-        indexed.Ppd.Race.pairs_examined
-        (fmt_ns (time_of results "t5/indexed"))
-        (fmt_ns (time_of results "t5/static")))
-    [ 2; 4; 8; 16 ];
-  print_endline
-    "(static = text-only lockset analysis: schedule-independent, \
-     over-approximate)"
+let t5_row workers =
+  let prog = compile (Workloads.counter ~workers ~incs:6 ~mutex:false) in
+  let obs = Ppd.Pardyn.observer prog in
+  ignore (machine ~hooks:(Ppd.Pardyn.factory obs) prog);
+  let g = Ppd.Pardyn.finish obs in
+  let naive = Ppd.Race.detect ~algo:Ppd.Race.Naive g in
+  let indexed = Ppd.Race.detect ~algo:Ppd.Race.Indexed g in
+  assert (naive.Ppd.Race.races = indexed.Ppd.Race.races);
+  let results =
+    measure_tests ~quota:0.25
+      (Test.make_grouped ~name:"t5"
+         [
+           Test.make ~name:"naive"
+             (Staged.stage (fun () -> ignore (Ppd.Race.detect ~algo:Ppd.Race.Naive g)));
+           Test.make ~name:"indexed"
+             (Staged.stage (fun () ->
+                  ignore (Ppd.Race.detect ~algo:Ppd.Race.Indexed g)));
+           Test.make ~name:"static"
+             (Staged.stage (fun () -> ignore (Analysis.Static_race.analyze prog)));
+         ])
+  in
+  Json.(
+    Obj
+      [
+        ("workers", Int workers);
+        ("edges", Int (Array.length g.Ppd.Pardyn.iedges));
+        ("naive_pairs", Int naive.Ppd.Race.pairs_examined);
+        ("naive_ns", Float (time_of results "t5/naive"));
+        ("index_pairs", Int indexed.Ppd.Race.pairs_examined);
+        ("index_ns", Float (time_of results "t5/indexed"));
+        ("static_ns", Float (time_of results "t5/static"));
+      ])
+
+let t5 =
+  {
+    id = "t5";
+    title = "T5  All-pairs conflict detection (§7): naive vs per-variable index";
+    note =
+      "(static = text-only lockset analysis: schedule-independent, \
+       over-approximate)";
+    run = (fun () -> Json.List (List.map t5_row [ 2; 4; 8; 16 ]));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* T6: debugging-phase query cost (§3.1, §5.3).                         *)
 (* ------------------------------------------------------------------ *)
 
-let t6 () =
-  header "T6  Flowback query cost: intervals emulated vs total";
-  row "%-16s %10s %10s %12s %14s %12s\n" "workload" "intervals" "replayed"
-    "replay steps" "trace events" "replayed %";
-  List.iter
-    (fun (name, src, query_all) ->
-      let eb, _halt, log, tr, _m = logged_artifacts src in
-      let ctl = Ppd.Controller.start eb log in
-      (match Ppd.Controller.last_event_node ctl ~pid:0 with
-      | Some root ->
-        if query_all then ignore (Ppd.Flowback.backward_slice ctl root)
-        else ignore (Ppd.Flowback.dependences ctl root)
-      | None -> ());
-      let st = Ppd.Controller.stats ctl in
-      row "%-16s %10d %10d %12d %14d %11.0f%%\n" name
-        st.Ppd.Controller.intervals_total st.Ppd.Controller.replays
-        st.Ppd.Controller.replay_steps
-        (Trace.Full_trace.nevents tr)
-        (100.
-        *. float_of_int st.Ppd.Controller.replays
-        /. float_of_int (max 1 st.Ppd.Controller.intervals_total)))
-    [
-      ("fig41/shallow", Workloads.fig41, false);
-      ("fig41/slice", Workloads.fig41, true);
-      ("deep-24/shallow", Workloads.deep_calls ~depth:24, false);
-      ("deep-24/slice", Workloads.deep_calls ~depth:24, true);
-      ("fib-10/shallow", Workloads.fib 10, false);
-      ("branchy/slice", Workloads.branchy ~rounds:60, true);
-    ];
-  print_endline
-    "(shallow queries touch few intervals; whole-slice queries expand on demand)"
+let t6_row (name, src, query_all) =
+  let eb, log, tr, _m = logged_artifacts src in
+  let ctl = Ppd.Controller.start eb log in
+  (match Ppd.Controller.last_event_node ctl ~pid:0 with
+  | Some root ->
+    if query_all then ignore (Ppd.Flowback.backward_slice ctl root)
+    else ignore (Ppd.Flowback.dependences ctl root)
+  | None -> ());
+  let st = Ppd.Controller.stats ctl in
+  let total = st.Ppd.Controller.intervals_total in
+  let replays = st.Ppd.Controller.replays in
+  Json.(
+    Obj
+      [
+        ("workload", Str name);
+        ("intervals", Int total);
+        ("replayed", Int replays);
+        ("replay_steps", Int st.Ppd.Controller.replay_steps);
+        ("trace_events", Int (Trace.Full_trace.nevents tr));
+        ( "replayed_pct",
+          Float (100. *. float_of_int replays /. float_of_int (max 1 total)) );
+      ])
+
+let t6 =
+  {
+    id = "t6";
+    title = "T6  Flowback query cost: intervals emulated vs total";
+    note =
+      "(shallow queries touch few intervals; whole-slice queries expand on demand)";
+    run =
+      (fun () ->
+        Json.List
+          (List.map t6_row
+             [
+               ("fig41/shallow", Workloads.fig41, false);
+               ("fig41/slice", Workloads.fig41, true);
+               ("deep-24/shallow", Workloads.deep_calls ~depth:24, false);
+               ("deep-24/slice", Workloads.deep_calls ~depth:24, true);
+               ("fib-10/shallow", Workloads.fib 10, false);
+               ("branchy/slice", Workloads.branchy ~rounds:60, true);
+             ]));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* T7: state restoration (§5.7).                                        *)
 (* ------------------------------------------------------------------ *)
 
-let t7 () =
-  header "T7  State restoration from postlogs vs re-execution";
+(* Each row restores the shared store at a fraction of the run and
+   times that restore against re-executing the same number of steps. *)
+let t7_run () =
   let src = Workloads.counter ~workers:4 ~incs:40 ~mutex:true in
-  let eb, _halt, log, _tr, m = logged_artifacts src in
+  let eb, log, _tr, m = logged_artifacts src in
   let prog = eb.Analysis.Eblock.prog in
   let total_steps = Runtime.Machine.nsteps m in
-  row "%-14s %14s %16s %18s\n" "restore to" "log entries" "re-exec steps"
-    "restored count";
-  List.iter
-    (fun frac ->
-      let step = total_steps * frac / 100 in
-      let snap = Ppd.Restore.shared_at prog log ~step in
-      row "%13d%% %14d %16d %18s\n" frac snap.Ppd.Restore.entries_scanned step
-        (Runtime.Value.to_string snap.Ppd.Restore.globals.(0)))
-    [ 25; 50; 75; 100 ];
-  let tests =
-    Test.make_grouped ~name:"t7"
-      [
-        Test.make ~name:"restore"
-          (Staged.stage (fun () ->
-               ignore (Ppd.Restore.shared_at prog log ~step:(total_steps / 2))));
-        Test.make ~name:"re-execute"
-          (Staged.stage (fun () -> run_bare prog));
-      ]
+  let fracs = [ 25; 50; 75; 100 ] in
+  let step frac = total_steps * frac / 100 in
+  let results =
+    measure_tests ~quota:0.2
+      (Test.make_grouped ~name:"t7"
+         (List.concat_map
+            (fun frac ->
+              let step = step frac in
+              [
+                Test.make
+                  ~name:(Printf.sprintf "%d/restore" frac)
+                  (Staged.stage (fun () ->
+                       ignore (Ppd.Restore.shared_at prog log ~step)));
+                Test.make
+                  ~name:(Printf.sprintf "%d/re-execute" frac)
+                  (Staged.stage (fun () -> run_bare ~max_steps:step prog));
+              ])
+            fracs))
   in
-  let results = measure_tests ~quota:0.3 tests in
-  row "restore %s vs full re-execution %s\n"
-    (fmt_ns (time_of results "t7/restore"))
-    (fmt_ns (time_of results "t7/re-execute"))
+  Json.List
+    (List.map
+       (fun frac ->
+         let snap = Ppd.Restore.shared_at prog log ~step:(step frac) in
+         let t k = time_of results (Printf.sprintf "t7/%d/%s" frac k) in
+         Json.(
+           Obj
+             [
+               ("at_pct", Int frac);
+               ("entries_scanned", Int snap.Ppd.Restore.entries_scanned);
+               ("reexec_steps", Int (step frac));
+               ( "restored_count",
+                 Str (Runtime.Value.to_string snap.Ppd.Restore.globals.(0)) );
+               ("restore_ns", Float (t "restore"));
+               ("reexec_ns", Float (t "re-execute"));
+             ]))
+       fracs)
+
+let t7 =
+  {
+    id = "t7";
+    title = "T7  State restoration from postlogs vs re-execution";
+    note = "(reexec_ns re-executes the program up to the same step)";
+    run = t7_run;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* T8: statement-level MHP — analysis cost and sync-unit prelog         *)
 (* pruning (fewer log entries, same replay fidelity).                   *)
 (* ------------------------------------------------------------------ *)
 
-let t8 () =
-  header "T8  Statement-level MHP: lint cost and sync-unit prelog pruning";
-  let suite =
-    workloads
-    @ [ ("config-4x40", Workloads.config_pipeline ~workers:4 ~rounds:40) ]
+let sync_prelog_stats (log : Trace.Log.t) =
+  Array.fold_left
+    (Array.fold_left (fun (n, vars) entry ->
+         match entry with
+         | Trace.Log.Sync_prelog { vals; _ } -> (n + 1, vars + List.length vals)
+         | _ -> (n, vars)))
+    (0, 0) log.Trace.Log.entries
+
+let t8_row (name, src) =
+  let prog = compile src in
+  let eb_raw = Analysis.Eblock.analyze ~prune_sync_prelogs:false prog in
+  let eb = Analysis.Eblock.analyze prog in
+  let _, raw_log, _ = Trace.Logger.run_logged ~sched eb_raw in
+  let _, log, _ = Trace.Logger.run_logged ~sched eb in
+  let n0, v0 = sync_prelog_stats raw_log in
+  let n1, v1 = sync_prelog_stats log in
+  let results =
+    measure_tests ~quota:0.1
+      (Test.make_grouped ~name:"t8"
+         [
+           Test.make ~name:"mhp"
+             (Staged.stage (fun () -> ignore (Analysis.Mhp.compute prog)));
+           Test.make ~name:"lint"
+             (Staged.stage (fun () -> ignore (Analysis.Lint.run prog)));
+           Test.make ~name:"eblock+prune"
+             (Staged.stage (fun () -> ignore (Analysis.Eblock.analyze prog)));
+         ])
   in
-  let sync_prelog_stats (log : Trace.Log.t) =
-    Array.fold_left
-      (Array.fold_left (fun (n, vars) entry ->
-           match entry with
-           | Trace.Log.Sync_prelog { vals; _ } ->
-             (n + 1, vars + List.length vals)
-           | _ -> (n, vars)))
-      (0, 0) log.Trace.Log.entries
-  in
-  row "%-14s %10s %10s %10s %10s %9s\n" "workload" "entries" "pruned"
-    "vars" "pruned" "Δvars";
-  List.iter
-    (fun (name, src) ->
-      let prog = compile src in
-      let eb_raw = Analysis.Eblock.analyze ~prune_sync_prelogs:false prog in
-      let eb = Analysis.Eblock.analyze prog in
-      let _, raw_log, _ = Trace.Logger.run_logged ~sched eb_raw in
-      let _, log, _ = Trace.Logger.run_logged ~sched eb in
-      let n0, v0 = sync_prelog_stats raw_log in
-      let n1, v1 = sync_prelog_stats log in
-      row "%-14s %10d %10d %10d %10d %9s\n" name n0 n1 v0 v1
-        (if v0 = 0 then "n/a"
-         else pct (float_of_int v0) (float_of_int v1)))
-    suite;
-  let cfg_prog =
-    compile (Workloads.config_pipeline ~workers:4 ~rounds:40)
-  in
-  let tests =
-    Test.make_grouped ~name:"t8"
+  Json.(
+    Obj
       [
-        Test.make ~name:"mhp"
-          (Staged.stage (fun () -> ignore (Analysis.Mhp.compute cfg_prog)));
-        Test.make ~name:"lint"
-          (Staged.stage (fun () -> ignore (Analysis.Lint.run cfg_prog)));
-        Test.make ~name:"eblock+prune"
-          (Staged.stage (fun () -> ignore (Analysis.Eblock.analyze cfg_prog)));
-      ]
-  in
-  let results = measure_tests ~quota:0.3 tests in
-  row "mhp %s   lint (all passes) %s   eblock analysis with pruning %s\n"
-    (fmt_ns (time_of results "t8/mhp"))
-    (fmt_ns (time_of results "t8/lint"))
-    (fmt_ns (time_of results "t8/eblock+prune"))
+        ("workload", Str name);
+        ("sync_prelogs", Int n0);
+        ("sync_prelogs_pruned", Int n1);
+        ("vars", Int v0);
+        ("vars_pruned", Int v1);
+        ("vars_pct", Float (ovh_pct (float_of_int v0) (float_of_int v1)));
+        ("mhp_ns", Float (time_of results "t8/mhp"));
+        ("lint_ns", Float (time_of results "t8/lint"));
+        ("eblock_ns", Float (time_of results "t8/eblock+prune"));
+      ])
+
+let t8 =
+  {
+    id = "t8";
+    title = "T8  Statement-level MHP: lint cost and sync-unit prelog pruning";
+    note =
+      "(vars_pct is the change in prelogged variables; lint runs all passes,\n\
+      \      eblock_ns is the e-block analysis with pruning)";
+    run =
+      (fun () ->
+        Json.List
+          (List.map t8_row
+             (workloads
+             @ [ ("config-4x40", Workloads.config_pipeline ~workers:4 ~rounds:40) ]
+             )));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* T9: durable store — v2 segment size and save/load/open cost.         *)
 (* ------------------------------------------------------------------ *)
 
-type t9_row = {
-  t9_name : string;
-  t9_entries : int;
-  t9_v2_bytes : int;
-  t9_v2_save_ns : float;
-  t9_v2_load_ns : float;
-  t9_v2_open_ns : float;
-}
+let t9_row (name, src) =
+  let eb = Analysis.Eblock.analyze (compile src) in
+  let _, log, _ = Trace.Logger.run_logged ~sched eb in
+  let path = Filename.temp_file "ppd_bench" ".log" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let results =
+        measure_tests ~quota:0.3
+          (Test.make_grouped ~name:"t9"
+             [
+               Test.make ~name:"save"
+                 (Staged.stage (fun () -> Store.Segment.save path log));
+               Test.make ~name:"load"
+                 (Staged.stage (fun () -> ignore (Store.Segment.load path)));
+               (* open = trailer + footer only: what the demand-paged
+                  controller pays before the first query *)
+               Test.make ~name:"open"
+                 (Staged.stage (fun () -> ignore (Store.Segment.open_file path)));
+             ])
+      in
+      Json.(
+        Obj
+          [
+            ("workload", Str name);
+            ("entries", Int (Trace.Log.entry_count log));
+            ("v2_bytes", Int (Store.Segment.encoded_size log));
+            ("v2_save_ns", Float (time_of results "t9/save"));
+            ("v2_load_ns", Float (time_of results "t9/load"));
+            ("v2_open_ns", Float (time_of results "t9/open"));
+          ]))
 
-let t9_rows () =
-  List.map
-    (fun (name, src) ->
-      let prog = compile src in
-      let eb = Analysis.Eblock.analyze prog in
-      let _, log, _ = Trace.Logger.run_logged ~sched eb in
-      let v2b = Store.Segment.encoded_size log in
-      let path = Filename.temp_file "ppd_bench" ".log" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          let tests =
-            Test.make_grouped ~name:"t9"
-              [
-                Test.make ~name:"save"
-                  (Staged.stage (fun () ->
-                       Store.Segment.save path log));
-                Test.make ~name:"load"
-                  (Staged.stage (fun () ->
-                       ignore (Store.Segment.load path)));
-                (* open = trailer + footer only: what the demand-paged
-                   controller pays before the first query *)
-                Test.make ~name:"open"
-                  (Staged.stage (fun () ->
-                       ignore (Store.Segment.open_file path)));
-              ]
-          in
-          let results = measure_tests ~quota:0.3 tests in
-          {
-            t9_name = name;
-            t9_entries = Trace.Log.entry_count log;
-            t9_v2_bytes = v2b;
-            t9_v2_save_ns = time_of results "t9/save";
-            t9_v2_load_ns = time_of results "t9/load";
-            t9_v2_open_ns = time_of results "t9/open";
-          }))
-    workloads
-
-let t9 () =
-  header "T9  Durable store: v2 CRC-framed segments";
-  row "%-14s %8s %9s %11s %11s %11s\n" "workload" "entries" "v2 bytes"
-    "v2 save" "v2 load" "v2 open";
-  List.iter
-    (fun r ->
-      row "%-14s %8d %9d %11s %11s %11s\n" r.t9_name r.t9_entries
-        r.t9_v2_bytes (fmt_ns r.t9_v2_save_ns) (fmt_ns r.t9_v2_load_ns)
-        (fmt_ns r.t9_v2_open_ns))
-    (t9_rows ())
+let t9 =
+  {
+    id = "t9";
+    title = "T9  Durable store: v2 CRC-framed segments";
+    note = "";
+    run = (fun () -> Json.List (List.map t9_row workloads));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* T10: parallel emulation — domain-pool batch replay vs serial.        *)
@@ -720,98 +764,78 @@ let t10_workloads =
     ("config-4x600", Workloads.config_pipeline ~workers:4 ~rounds:600);
   ]
 
-type t10_run = { tr_jobs : int; tr_domains : int; tr_seconds : float }
+(* Every interval of every process, the batch a full replay covers. *)
+let all_intervals ctl nprocs =
+  List.concat
+    (List.init nprocs (fun pid ->
+         List.init
+           (Array.length (Ppd.Controller.intervals ctl ~pid))
+           (fun iv_id -> (pid, iv_id))))
 
-type t10_row = {
-  tn_name : string;
-  tn_intervals : int;
-  tn_runs : t10_run list;
-  tn_identical : bool;  (* every pool size built the same graph *)
-}
+let t10_row (name, src) =
+  let eb = Analysis.Eblock.analyze (compile src) in
+  let _, log, _ = Trace.Logger.run_logged ~sched eb in
+  let replay_once jobs =
+    let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in
+    let ctl = Ppd.Controller.start ?pool eb log in
+    let keys = all_intervals ctl log.Trace.Log.nprocs in
+    (* monotonic, not wall-clock: gettimeofday is subject to NTP
+       slews/steps, which on a long batch replay can shrink or
+       stretch a measurement and flip the CI speedup gate *)
+    let t0 = Obs.now_ns () in
+    Ppd.Controller.build_intervals_par ctl keys;
+    let dt = float_of_int (Obs.now_ns () - t0) /. 1e9 in
+    Option.iter Exec.Pool.shutdown pool;
+    let dump = Format.asprintf "%a" Ppd.Dyn_graph.pp (Ppd.Controller.graph ctl) in
+    let domains = match pool with Some p -> Exec.Pool.jobs p | None -> 1 in
+    (dt, dump, domains, List.length keys)
+  in
+  let intervals = ref 0 in
+  let baseline = ref "" in
+  let identical = ref true in
+  let runs =
+    List.map
+      (fun jobs ->
+        let best = ref infinity and doms = ref 1 in
+        for _ = 1 to t10_repeats do
+          let dt, dump, domains, nkeys = replay_once jobs in
+          if dt < !best then best := dt;
+          doms := domains;
+          intervals := nkeys;
+          if jobs = 1 && !baseline = "" then baseline := dump
+          else if dump <> !baseline then identical := false
+        done;
+        (jobs, !doms, !best))
+      t10_jobs
+  in
+  let seconds j = List.fold_left (fun a (j', _, s) -> if j' = j then s else a) nan runs in
+  Json.(
+    Obj
+      [
+        ("workload", Str name);
+        ("intervals", Int !intervals);
+        ("identical", Bool !identical);
+        ( "runs",
+          List
+            (List.map
+               (fun (jobs, domains, s) ->
+                 Obj
+                   [ ("jobs", Int jobs); ("domains", Int domains); ("seconds", Float s) ])
+               runs) );
+        ("speedup4", Float (ratio (seconds 1) (seconds 4)));
+      ])
 
-let t10_rows () =
-  List.map
-    (fun (name, src) ->
-      let prog = compile src in
-      let eb = Analysis.Eblock.analyze prog in
-      let _, log, _ = Trace.Logger.run_logged ~sched eb in
-      let all_keys ctl =
-        List.concat
-          (List.init log.Trace.Log.nprocs (fun pid ->
-               List.init
-                 (Array.length (Ppd.Controller.intervals ctl ~pid))
-                 (fun iv_id -> (pid, iv_id))))
-      in
-      let replay_once jobs =
-        let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in
-        let ctl = Ppd.Controller.start ?pool eb log in
-        let keys = all_keys ctl in
-        (* monotonic, not wall-clock: gettimeofday is subject to NTP
-           slews/steps, which on a long batch replay can shrink or
-           stretch a measurement and flip the CI speedup gate *)
-        let t0 = Obs.now_ns () in
-        Ppd.Controller.build_intervals_par ctl keys;
-        let dt = float_of_int (Obs.now_ns () - t0) /. 1e9 in
-        Option.iter Exec.Pool.shutdown pool;
-        let dump =
-          Format.asprintf "%a" Ppd.Dyn_graph.pp (Ppd.Controller.graph ctl)
-        in
-        let domains = match pool with Some p -> Exec.Pool.jobs p | None -> 1 in
-        (dt, dump, domains, List.length keys)
-      in
-      let intervals = ref 0 in
-      let baseline = ref "" in
-      let identical = ref true in
-      let runs =
-        List.map
-          (fun jobs ->
-            let best = ref infinity and doms = ref 1 in
-            for _ = 1 to t10_repeats do
-              let dt, dump, domains, nkeys = replay_once jobs in
-              if dt < !best then best := dt;
-              doms := domains;
-              intervals := nkeys;
-              if jobs = 1 && !baseline = "" then baseline := dump
-              else if dump <> !baseline then identical := false
-            done;
-            { tr_jobs = jobs; tr_domains = !doms; tr_seconds = !best })
-          t10_jobs
-      in
-      {
-        tn_name = name;
-        tn_intervals = !intervals;
-        tn_runs = runs;
-        tn_identical = !identical;
-      })
-    t10_workloads
-
-let t10 () =
-  header
-    "T10  Parallel emulation: domain-pool batch replay vs -j1 (serial)";
-  Printf.printf "(host reports %d core(s); pool sizes above that are clamped)\n"
-    (Exec.Pool.default_jobs ());
-  row "%-14s %10s" "workload" "intervals";
-  List.iter (fun j -> row " %9s" (Printf.sprintf "-j%d" j)) t10_jobs;
-  row " %9s %10s\n" "speedup4" "identical";
-  List.iter
-    (fun r ->
-      row "%-14s %10d" r.tn_name r.tn_intervals;
-      List.iter
-        (fun tr -> row " %9s" (fmt_ns (tr.tr_seconds *. 1e9)))
-        r.tn_runs;
-      let time_at j =
-        List.find_opt (fun tr -> tr.tr_jobs = j) r.tn_runs
-        |> Option.map (fun tr -> tr.tr_seconds)
-      in
-      (match (time_at 1, time_at 4) with
-      | Some s1, Some s4 when s4 > 0. -> row " %8.2fx" (s1 /. s4)
-      | _ -> row " %9s" "n/a");
-      row " %10s\n" (if r.tn_identical then "yes" else "NO"))
-    (t10_rows ());
-  print_endline
-    "(e-block intervals replay independently from their prelogs, so the\n\
-    \      debugging phase parallelises; graph assembly stays serial and\n\
-    \      deterministic — 'identical' checks the full graph dump)"
+let t10 =
+  {
+    id = "t10";
+    title = "T10  Parallel emulation: domain-pool batch replay vs -j1 (serial)";
+    note =
+      "(e-block intervals replay independently from their prelogs, so the\n\
+      \      debugging phase parallelises; graph assembly stays serial and\n\
+      \      deterministic — 'identical' checks the full graph dump; pool\n\
+      \      sizes above the host's core count are clamped, see domains)";
+    run = (fun () -> Json.List (List.map t10_row t10_workloads));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* T11: overhead of the observability layer itself.                     *)
@@ -827,13 +851,6 @@ let t10 () =
 let t11_workloads =
   List.filter (fun (n, _) -> n = "counter-4x50" || n = "branchy-150") workloads
 
-type t11_row = {
-  te_name : string;
-  te_bare_ns : float;
-  te_off_ns : float;
-  te_on_ns : float;
-}
-
 let t11_disabled_op_ns () =
   Obs.disable ();
   let c = Obs.counter "bench.t11.disabled_op" in
@@ -844,63 +861,66 @@ let t11_disabled_op_ns () =
   done;
   float_of_int (Obs.now_ns () - t0) /. float_of_int iters
 
-let t11_rows () =
-  List.map
-    (fun (name, src) ->
-      let prog = compile src in
-      let eb = Analysis.Eblock.analyze prog in
-      (* bare and obs-off share one measurement batch; obs-on runs in a
-         second batch so the enabled flag never leaks into the others.
-         The per-run [reset] keeps the recorded-span list from growing
-         across bechamel iterations (and is itself part of the enabled
-         cost, which only makes the "on" column conservative). *)
-      let off =
-        measure_tests ~quota:0.4
-          (Test.make_grouped ~name:"t11"
-             [
-               Test.make ~name:(name ^ "/bare")
-                 (Staged.stage (fun () -> run_bare prog));
-               Test.make ~name:(name ^ "/off")
-                 (Staged.stage (fun () -> run_logged eb));
-             ])
-      in
-      Obs.enable ();
-      let on =
-        measure_tests ~quota:0.4
-          (Test.make_grouped ~name:"t11"
-             [
-               Test.make ~name:(name ^ "/on")
-                 (Staged.stage (fun () ->
-                      Obs.reset ();
-                      run_logged eb));
-             ])
-      in
-      Obs.disable ();
-      Obs.reset ();
-      {
-        te_name = name;
-        te_bare_ns = time_of off ("t11/" ^ name ^ "/bare");
-        te_off_ns = time_of off ("t11/" ^ name ^ "/off");
-        te_on_ns = time_of on ("t11/" ^ name ^ "/on");
-      })
-    t11_workloads
+let t11_row (name, src) =
+  let prog = compile src in
+  let eb = Analysis.Eblock.analyze prog in
+  (* bare and obs-off share one measurement batch; obs-on runs in a
+     second batch so the enabled flag never leaks into the others.
+     The per-run [reset] keeps the recorded-span list from growing
+     across bechamel iterations (and is itself part of the enabled
+     cost, which only makes the "on" column conservative). *)
+  let off =
+    measure_tests ~quota:0.4
+      (Test.make_grouped ~name:"t11"
+         [
+           Test.make ~name:(name ^ "/bare") (Staged.stage (fun () -> run_bare prog));
+           Test.make ~name:(name ^ "/off") (Staged.stage (fun () -> run_logged eb));
+         ])
+  in
+  Obs.enable ();
+  let on =
+    measure_tests ~quota:0.4
+      (Test.make_grouped ~name:"t11"
+         [
+           Test.make ~name:(name ^ "/on")
+             (Staged.stage (fun () ->
+                  Obs.reset ();
+                  run_logged eb));
+         ])
+  in
+  Obs.disable ();
+  Obs.reset ();
+  let bare = time_of off ("t11/" ^ name ^ "/bare") in
+  let off = time_of off ("t11/" ^ name ^ "/off") in
+  let on = time_of on ("t11/" ^ name ^ "/on") in
+  Json.(
+    Obj
+      [
+        ("workload", Str name);
+        ("bare_ns", Float bare);
+        ("off_ns", Float off);
+        ("on_ns", Float on);
+        ("off_ovh_pct", Float (ovh_pct bare off));
+        ("on_ovh_pct", Float (ovh_pct off on));
+      ])
 
-let t11 () =
-  header "T11  Observability-layer overhead (disabled must be free)";
-  Printf.printf "disabled counter op: %.2f ns/call\n" (t11_disabled_op_ns ());
-  row "%-14s %11s %11s %9s %11s %9s\n" "workload" "bare" "obs-off" "ovh"
-    "obs-on" "ovh(on)";
-  List.iter
-    (fun r ->
-      row "%-14s %11s %11s %9s %11s %9s\n" r.te_name (fmt_ns r.te_bare_ns)
-        (fmt_ns r.te_off_ns)
-        (pct r.te_bare_ns r.te_off_ns)
-        (fmt_ns r.te_on_ns)
-        (pct r.te_off_ns r.te_on_ns))
-    (t11_rows ());
-  print_endline
-    "(obs-off vs bare is the T1 logging overhead; ovh(on) is what enabling\n\
-    \      collection adds on top of it — profiling is pay-as-you-go)"
+let t11 =
+  {
+    id = "t11";
+    title = "T11  Observability-layer overhead (disabled must be free)";
+    note =
+      "(off_ovh is the T1 logging overhead over bare; on_ovh is what enabling\n\
+      \      collection adds on top of it — profiling is pay-as-you-go)";
+    run =
+      (fun () ->
+        let op = t11_disabled_op_ns () in
+        Json.(
+          Obj
+            [
+              ("disabled_op_ns", Float op);
+              ("rows", List (List.map t11_row t11_workloads));
+            ]));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* T12: overhead of the fault-injection layer itself.                   *)
@@ -924,268 +944,242 @@ let t12_disabled_op_ns () =
   done;
   float_of_int (Obs.now_ns () - t0) /. float_of_int iters
 
-let t12_workloads = t11_workloads
-
-type t12_row = { tf_name : string; tf_off_ns : float; tf_armed_ns : float }
-
-let t12_rows () =
-  List.map
-    (fun (name, src) ->
-      let prog = compile src in
-      let eb = Analysis.Eblock.analyze prog in
-      (* one closure covers both phases the layer instruments: the
-         logged execution (sink/segment sites) and the serial interval
-         replay of the debugging phase (pool/emulator sites) *)
-      let flow () =
-        let logger = Trace.Logger.create eb in
-        let m =
-          Runtime.Machine.create ~sched ~max_steps:5_000_000
-            ~hooks:(Trace.Logger.factory logger) prog
-        in
-        ignore (Runtime.Machine.run m);
-        let log = Trace.Logger.finish logger in
-        let ctl = Ppd.Controller.start eb log in
-        let keys =
-          List.concat
-            (List.init log.Trace.Log.nprocs (fun pid ->
-                 List.init
-                   (Array.length (Ppd.Controller.intervals ctl ~pid))
-                   (fun iv_id -> (pid, iv_id))))
-        in
-        Ppd.Controller.build_intervals_par ctl keys
-      in
-      Fault.disarm ();
-      let off =
-        measure_tests ~quota:0.4
-          (Test.make_grouped ~name:"t12"
-             [ Test.make ~name:(name ^ "/off") (Staged.stage flow) ])
-      in
-      (match Fault.arm "bench.t12.point:1000000000" with
-      | Ok () -> ()
-      | Error e -> failwith e);
-      let armed =
-        measure_tests ~quota:0.4
-          (Test.make_grouped ~name:"t12"
-             [ Test.make ~name:(name ^ "/armed") (Staged.stage flow) ])
-      in
-      Fault.disarm ();
-      {
-        tf_name = name;
-        tf_off_ns = time_of off ("t12/" ^ name ^ "/off");
-        tf_armed_ns = time_of armed ("t12/" ^ name ^ "/armed");
-      })
-    t12_workloads
-
-let t12 () =
-  header "T12  Fault-injection layer overhead (disarmed must be free)";
-  Printf.printf "disarmed check op: %.2f ns/call\n" (t12_disabled_op_ns ());
-  row "%-14s %11s %11s %9s\n" "workload" "disarmed" "armed" "ovh";
-  List.iter
-    (fun r ->
-      row "%-14s %11s %11s %9s\n" r.tf_name (fmt_ns r.tf_off_ns)
-        (fmt_ns r.tf_armed_ns)
-        (pct r.tf_off_ns r.tf_armed_ns))
-    (t12_rows ());
-  print_endline
-    "(both columns run the full log-and-flowback pass; the armed plan\n\
-    \      entry never matches, so the delta is pure bookkeeping — the CI\n\
-    \      gate bounds the disarmed per-check cost)"
-
-(* ------------------------------------------------------------------ *)
-(* T13: the serve daemon under concurrent sessions.                     *)
-(* ------------------------------------------------------------------ *)
-
-(* N client threads drive the in-process dispatcher over one recorded
-   log: each registers a session, opens a handle, issues a fixed mix
-   of flowback and replay requests, and closes. Latency is measured
-   around [handle_line] per heavy request. The shared fragment cache
-   is what makes N sessions cheaper than N one-shot CLI runs, so its
-   hit rate is the headline number; the admission queue is sized so
-   nothing sheds, because T13's acceptance bar is zero protocol
-   errors. *)
-
-let t13_sessions = [ 1; 4; 16; 64 ]
-
-let t13_requests_per_session = 6
-
-type t13_row = {
-  td_sessions : int;
-  td_requests : int;  (* heavy requests completed *)
-  td_errors : int;  (* error responses of any kind *)
-  td_p50_ns : float;
-  td_p99_ns : float;
-  td_hits : int;
-  td_misses : int;
-  td_hit_rate : float;
-  td_shed : int;
-}
-
-let t13_fixture () =
-  let src = Workloads.config_pipeline ~workers:4 ~rounds:40 in
-  let mpl = Filename.temp_file "ppd_t13" ".mpl" in
-  let seg = Filename.temp_file "ppd_t13" ".seg" in
-  Out_channel.with_open_text mpl (fun oc -> Out_channel.output_string oc src);
+let t12_row (name, src) =
   let prog = compile src in
   let eb = Analysis.Eblock.analyze prog in
-  let w = Store.Segment.Writer.to_file seg in
-  let logger = Trace.Logger.create ~sink:(Store.Segment.Writer.sink w) eb in
-  let m =
-    Runtime.Machine.create ~sched ~max_steps:5_000_000
-      ~hooks:(Trace.Logger.factory logger) prog
+  (* one closure covers both phases the layer instruments: the
+     logged execution (sink/segment sites) and the serial interval
+     replay of the debugging phase (pool/emulator sites) *)
+  let flow () =
+    let logger = Trace.Logger.create eb in
+    ignore (machine ~hooks:(Trace.Logger.factory logger) prog);
+    let log = Trace.Logger.finish logger in
+    let ctl = Ppd.Controller.start eb log in
+    Ppd.Controller.build_intervals_par ctl (all_intervals ctl log.Trace.Log.nprocs)
   in
-  ignore (Runtime.Machine.run m);
-  ignore (Trace.Logger.finish logger);
+  let measure k =
+    time_of
+      (measure_tests ~quota:0.4
+         (Test.make_grouped ~name:"t12" [ Test.make ~name:k (Staged.stage flow) ]))
+      ("t12/" ^ k)
+  in
+  Fault.disarm ();
+  let off = measure (name ^ "/off") in
+  (match Fault.arm "bench.t12.point:1000000000" with
+  | Ok () -> ()
+  | Error e -> failwith e);
+  let armed = measure (name ^ "/armed") in
+  Fault.disarm ();
+  Json.(
+    Obj
+      [
+        ("workload", Str name);
+        ("off_ns", Float off);
+        ("armed_ns", Float armed);
+        ("armed_ovh_pct", Float (ovh_pct off armed));
+      ])
+
+let t12 =
+  {
+    id = "t12";
+    title = "T12  Fault-injection layer overhead (disarmed must be free)";
+    note =
+      "(both columns run the full log-and-flowback pass; the armed plan\n\
+      \      entry never matches, so the delta is pure bookkeeping — the CI\n\
+      \      gate bounds the disarmed per-check cost)";
+    run =
+      (fun () ->
+        let op = t12_disabled_op_ns () in
+        Json.(
+          Obj
+            [
+              ("disabled_op_ns", Float op);
+              ("rows", List (List.map t12_row t11_workloads));
+            ]));
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Daemon load shared by T13 and T17.                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Client threads drive the in-process dispatcher over one recorded
+   log: each registers a session, opens a handle, issues heavy
+   requests, and closes. Latency is measured around [handle_line] per
+   heavy request. The admission queue is sized so nothing sheds: both
+   tables' bar is zero protocol errors. *)
+let serve_config =
+  { Serve.Server.default_config with jobs = 1; max_active = 8; max_queue = 4096 }
+
+let serve_fixture () =
+  let src = Workloads.config_pipeline ~workers:4 ~rounds:40 in
+  let mpl = Filename.temp_file "ppd_serve" ".mpl" in
+  let seg = Filename.temp_file "ppd_serve" ".seg" in
+  Out_channel.with_open_text mpl (fun oc -> Out_channel.output_string oc src);
+  let eb = Analysis.Eblock.analyze (compile src) in
+  let w = Store.Segment.Writer.to_file seg in
+  ignore
+    (Trace.Logger.run_logged ~sched ~max_steps:5_000_000
+       ~sink:(Store.Segment.Writer.sink w) eb);
   Store.Segment.Writer.close w;
   (mpl, seg)
 
-(* The [open] request every daemon bench starts its session with. *)
+(* The [open] request every daemon client starts its session with. *)
 let open_request ~seg ~mpl =
   Json.to_string
     (Json.Obj
        [
          ("id", Json.Int 1);
          ("method", Json.Str "open");
-         ( "params",
-           Json.Obj [ ("log", Json.Str seg); ("program", Json.Str mpl) ] );
+         ("params", Json.Obj [ ("log", Json.Str seg); ("program", Json.Str mpl) ]);
        ])
 
-let t13_jint v name =
-  match Option.bind (Json.member name v) Json.to_int with
-  | Some i -> i
-  | None -> 0
+let jint v name =
+  match Option.bind (Json.member name v) Json.to_int with Some i -> i | None -> 0
 
-let t13_percentile sorted q =
+(* A response line: [Ok result] or [Error code]. *)
+let response line =
+  match Json.parse line with
+  | Error _ -> Error "unparseable"
+  | Ok v -> (
+    match Json.member "error" v with
+    | Some e ->
+      Error (Option.value ~default:"?" (Option.bind (Json.member "code" e) Json.to_str))
+    | None -> Ok (Option.value ~default:Json.Null (Json.member "result" v)))
+
+let server_stats srv =
+  let s = Serve.Server.session srv in
+  let resp = Serve.Server.handle_line srv s {|{"id":1,"method":"serverStats"}|} in
+  Serve.Server.end_session srv s;
+  Result.to_option (response resp)
+
+type load = {
+  lock : Mutex.t;
+  mutable lats : float list;
+  mutable errors : int;  (* unexpected error responses: the bar is zero *)
+  mutable refused : int;  (* error codes the scenario expects, by design *)
+  mutable hits : int;
+  mutable misses : int;
+}
+
+let new_load () =
+  { lock = Mutex.create (); lats = []; errors = 0; refused = 0; hits = 0; misses = 0 }
+
+(* One client session: open a handle on [seg], send [requests] requests
+   of method [meth k] with [params] spliced into the body, classify
+   every response (codes in [expected] are refusals, any other error
+   counts), close, and fold the latencies and cache counters into
+   [load]. *)
+let client srv ~mpl ~seg ~requests ?(meth = fun _ -> "flowback") ?(params = "")
+    ?(expected = []) load =
+  let s = Serve.Server.session srv in
+  let say line = Serve.Server.handle_line srv s line in
+  let lats = ref [] and errors = ref 0 and refused = ref 0 in
+  let hits = ref 0 and misses = ref 0 in
+  let result resp =
+    match response resp with
+    | Ok r -> Some r
+    | Error c ->
+      if List.mem c expected then incr refused else incr errors;
+      None
+  in
+  let h =
+    match result (say (open_request ~seg ~mpl)) with
+    | Some r -> jint r "handle"
+    | None -> -1
+  in
+  for k = 1 to requests do
+    let line =
+      Printf.sprintf {|{"id":%d,"method":"%s","params":{"handle":%d,"depth":2%s}}|}
+        (k + 1) (meth k) h params
+    in
+    let t0 = Obs.now_ns () in
+    let resp = say line in
+    let dt = float_of_int (Obs.now_ns () - t0) in
+    (match result resp with
+    | Some r ->
+      hits := !hits + jint r "cacheHits";
+      misses := !misses + jint r "cacheMisses"
+    | None -> ());
+    lats := dt :: !lats
+  done;
+  ignore (say (Printf.sprintf {|{"id":99,"method":"close","params":{"handle":%d}}|} h));
+  Serve.Server.end_session srv s;
+  Mutex.lock load.lock;
+  load.lats <- !lats @ load.lats;
+  load.errors <- load.errors + !errors;
+  load.refused <- load.refused + !refused;
+  load.hits <- load.hits + !hits;
+  load.misses <- load.misses + !misses;
+  Mutex.unlock load.lock
+
+let concurrently clients =
+  List.iter Thread.join (List.map (fun f -> Thread.create f ()) clients)
+
+let percentile sorted q =
   let n = Array.length sorted in
-  if n = 0 then nan
-  else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
+  if n = 0 then nan else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
 
-let t13_rows () =
-  let mpl, seg = t13_fixture () in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove mpl;
-      Sys.remove seg)
-    (fun () ->
-      List.map
-        (fun n ->
-          (* fresh server per N: every row starts from a cold cache *)
-          let config =
-            {
-              Serve.Server.default_config with
-              jobs = 1;
-              max_active = 8;
-              max_queue = 4096;
-            }
-          in
-          let srv = Serve.Server.create ~config () in
-          let errors = Atomic.make 0 in
-          let lock = Mutex.create () in
-          let lats = ref [] in
-          let hits = ref 0 in
-          let misses = ref 0 in
-          let client () =
-            let s = Serve.Server.session srv in
-            let say line = Serve.Server.handle_line srv s line in
-            let parse resp =
-              match Json.parse resp with
-              | Ok v ->
-                if Json.member "error" v <> None then begin
-                  Atomic.incr errors;
-                  None
-                end
-                else Json.member "result" v
-              | Error _ ->
-                Atomic.incr errors;
-                None
-            in
-            let h =
-              let r = parse (say (open_request ~seg ~mpl)) in
-              match r with Some r -> t13_jint r "handle" | None -> -1
-            in
-            let my_lats = ref [] in
-            let my_hits = ref 0 in
-            let my_misses = ref 0 in
-            for k = 1 to t13_requests_per_session do
-              let meth = if k land 1 = 1 then "flowback" else "replay" in
-              let line =
-                Printf.sprintf
-                  {|{"id":%d,"method":"%s","params":{"handle":%d,"depth":2}}|}
-                  (k + 1) meth h
-              in
-              let t0 = Obs.now_ns () in
-              let resp = say line in
-              let dt = float_of_int (Obs.now_ns () - t0) in
-              (match parse resp with
-              | Some r ->
-                my_hits := !my_hits + t13_jint r "cacheHits";
-                my_misses := !my_misses + t13_jint r "cacheMisses"
-              | None -> ());
-              my_lats := dt :: !my_lats
-            done;
-            ignore
-              (say
-                 (Printf.sprintf
-                    {|{"id":99,"method":"close","params":{"handle":%d}}|} h));
-            Serve.Server.end_session srv s;
-            Mutex.lock lock;
-            lats := !my_lats @ !lats;
-            hits := !hits + !my_hits;
-            misses := !misses + !my_misses;
-            Mutex.unlock lock
-          in
-          let threads = List.init n (fun _ -> Thread.create client ()) in
-          List.iter Thread.join threads;
-          (* shed count from the daemon's own accounting *)
-          let shed =
-            let s0 = Serve.Server.session srv in
-            let resp =
-              Serve.Server.handle_line srv s0
-                {|{"id":1,"method":"serverStats"}|}
-            in
-            Serve.Server.end_session srv s0;
-            match Json.parse resp with
-            | Ok v -> (
-              match
-                Option.bind (Json.member "result" v)
-                  (Json.member "gate")
-              with
-              | Some g -> t13_jint g "shed"
-              | None -> 0)
-            | Error _ -> 0
-          in
-          Serve.Server.shutdown srv;
-          let sorted = Array.of_list !lats in
-          Array.sort Float.compare sorted;
-          let looked_up = !hits + !misses in
-          {
-            td_sessions = n;
-            td_requests = Array.length sorted;
-            td_errors = Atomic.get errors;
-            td_p50_ns = t13_percentile sorted 0.50;
-            td_p99_ns = t13_percentile sorted 0.99;
-            td_hits = !hits;
-            td_misses = !misses;
-            td_hit_rate =
-              (if looked_up = 0 then 0.
-               else float_of_int !hits /. float_of_int looked_up);
-            td_shed = shed;
-          })
-        t13_sessions)
+let sorted_lats load =
+  let a = Array.of_list load.lats in
+  Array.sort Float.compare a;
+  a
 
-let t13 () =
-  header "T13  Serve daemon: concurrent sessions over one shared log";
-  row "%-10s %10s %8s %11s %11s %8s %8s %9s %6s\n" "sessions" "requests"
-    "errors" "p50" "p99" "hits" "misses" "hit rate" "shed";
-  List.iter
-    (fun r ->
-      row "%-10d %10d %8d %11s %11s %8d %8d %8.0f%% %6d\n" r.td_sessions
-        r.td_requests r.td_errors (fmt_ns r.td_p50_ns) (fmt_ns r.td_p99_ns)
-        r.td_hits r.td_misses (100. *. r.td_hit_rate) r.td_shed)
-    (t13_rows ());
-  print_endline
-    "(every session issues the same flowback/replay mix; the shared\n\
-    \      fragment cache turns N concurrent sessions into one cold pass\n\
-    \      plus N-1 warm ones — the hit rate is the sharing visible)"
+(* ------------------------------------------------------------------ *)
+(* T13: the serve daemon under concurrent sessions.                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Each session issues a fixed mix of flowback and replay requests. The
+   shared fragment cache is what makes N sessions cheaper than N
+   one-shot CLI runs, so its hit rate is the headline number. *)
+let t13_row ~mpl ~seg n =
+  (* fresh server per N: every row starts from a cold cache *)
+  let srv = Serve.Server.create ~config:serve_config () in
+  let load = new_load () in
+  let meth k = if k land 1 = 1 then "flowback" else "replay" in
+  concurrently (List.init n (fun _ () -> client srv ~mpl ~seg ~requests:6 ~meth load));
+  (* shed count from the daemon's own accounting *)
+  let shed =
+    match Option.bind (server_stats srv) (Json.member "gate") with
+    | Some g -> jint g "shed"
+    | None -> 0
+  in
+  Serve.Server.shutdown srv;
+  let lats = sorted_lats load in
+  let looked_up = load.hits + load.misses in
+  Json.(
+    Obj
+      [
+        ("sessions", Int n);
+        ("requests", Int (Array.length lats));
+        ("errors", Int load.errors);
+        ("p50_ns", Float (percentile lats 0.50));
+        ("p99_ns", Float (percentile lats 0.99));
+        ("hits", Int load.hits);
+        ("misses", Int load.misses);
+        ( "hit_rate",
+          Float
+            (if looked_up = 0 then 0.
+             else float_of_int load.hits /. float_of_int looked_up) );
+        ("shed", Int shed);
+      ])
+
+let t13 =
+  {
+    id = "t13";
+    title = "T13  Serve daemon: concurrent sessions over one shared log";
+    note =
+      "(every session issues the same flowback/replay mix; the shared\n\
+      \      fragment cache turns N concurrent sessions into one cold pass\n\
+      \      plus N-1 warm ones — the hit rate is the sharing visible)";
+    run =
+      (fun () ->
+        let mpl, seg = serve_fixture () in
+        Fun.protect
+          ~finally:(fun () ->
+            Sys.remove mpl;
+            Sys.remove seg)
+          (fun () -> Json.List (List.map (t13_row ~mpl ~seg) [ 1; 4; 16; 64 ])));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* T14: the ordering-based logging tier (DESIGN §16) — bytes on disk,   *)
@@ -1218,107 +1212,79 @@ let t14_workloads =
     ("matmul-12", Workloads.matmul 12, false);
   ]
 
-type t14_row = {
-  tv_name : string;
-  tv_sync_heavy : bool;
-  tv_steps : int;
-  tv_content_bytes : int;
-  tv_order_bytes : int;
-  tv_ckpts : int;
-  tv_identity : bool;  (* reconstruction == content log, entry for entry *)
-  tv_recon_ns : float;
-  tv_fb_content_ns : float;  (* Controller.start + first query *)
-  tv_fb_order_ns : float;  (* same, including the reconstruction *)
-  tv_scan_full : int;  (* restore scan cost without checkpoints *)
-  tv_scan_ckpt : int;  (* same seek, seeded from the nearest checkpoint *)
-}
-
 let t14_tier =
   Trace.Log.T_order
     { Trace.Log.o_sched = "rr:4"; o_engine = "vm"; o_max_steps = 5_000_000 }
 
-let t14_rows () =
-  List.map
-    (fun (name, src, sync_heavy) ->
-      let prog = compile src in
-      let eb = Analysis.Eblock.analyze prog in
-      let _, content, m =
-        Trace.Logger.run_logged ~sched ~max_steps:5_000_000 eb
-      in
-      let _, order, _ =
-        Trace.Logger.run_logged ~sched ~max_steps:5_000_000 ~tier:t14_tier eb
-      in
-      let recon = Ppd.Reconstruct.reconstruct eb order in
-      let identity =
-        recon.Trace.Log.entries = content.Trace.Log.entries
-        && recon.Trace.Log.stops = content.Trace.Log.stops
-      in
-      (* Seek-to-step: restore the shared store three quarters into the
-         run. The reconstructed log carries the order log's checkpoints,
-         the content log has none, so the scan counts isolate exactly
-         what checkpoint seeding saves. *)
-      let late = Runtime.Machine.nsteps m * 3 / 4 in
-      let scan_full =
-        (Ppd.Restore.shared_at prog content ~step:late)
-          .Ppd.Restore.entries_scanned
-      in
-      let scan_ckpt =
-        (Ppd.Restore.shared_at prog recon ~step:late)
-          .Ppd.Restore.entries_scanned
-      in
-      let first_query log () =
-        let ctl = Ppd.Controller.start eb log in
-        ignore (Ppd.Controller.last_event_node ctl ~pid:0)
-      in
-      let results =
-        measure_tests ~quota:0.3
-          (Test.make_grouped ~name:"t14"
-             [
-               Test.make ~name:(name ^ "/recon")
-                 (Staged.stage (fun () ->
-                      ignore (Ppd.Reconstruct.reconstruct eb order)));
-               Test.make ~name:(name ^ "/fb-content")
-                 (Staged.stage (first_query content));
-               Test.make ~name:(name ^ "/fb-order")
-                 (Staged.stage (first_query order));
-             ])
-      in
-      let t k = time_of results ("t14/" ^ name ^ "/" ^ k) in
-      {
-        tv_name = name;
-        tv_sync_heavy = sync_heavy;
-        tv_steps = Runtime.Machine.nsteps m;
-        tv_content_bytes = Store.Segment.encoded_size content;
-        tv_order_bytes = Store.Segment.encoded_size order;
-        tv_ckpts = Array.length order.Trace.Log.ckpts;
-        tv_identity = identity;
-        tv_recon_ns = t "recon";
-        tv_fb_content_ns = t "fb-content";
-        tv_fb_order_ns = t "fb-order";
-        tv_scan_full = scan_full;
-        tv_scan_ckpt = scan_ckpt;
-      })
-    t14_workloads
+let t14_row (name, src, sync_heavy) =
+  let prog = compile src in
+  let eb = Analysis.Eblock.analyze prog in
+  let _, content, m = Trace.Logger.run_logged ~sched ~max_steps:5_000_000 eb in
+  let _, order, _ =
+    Trace.Logger.run_logged ~sched ~max_steps:5_000_000 ~tier:t14_tier eb
+  in
+  let recon = Ppd.Reconstruct.reconstruct eb order in
+  (* Seek-to-step: restore the shared store three quarters into the
+     run. The reconstructed log carries the order log's checkpoints,
+     the content log has none, so the scan counts isolate exactly
+     what checkpoint seeding saves. *)
+  let late = Runtime.Machine.nsteps m * 3 / 4 in
+  let scanned log =
+    (Ppd.Restore.shared_at prog log ~step:late).Ppd.Restore.entries_scanned
+  in
+  let first_query log () =
+    let ctl = Ppd.Controller.start eb log in
+    ignore (Ppd.Controller.last_event_node ctl ~pid:0)
+  in
+  let results =
+    measure_tests ~quota:0.3
+      (Test.make_grouped ~name:"t14"
+         [
+           Test.make ~name:(name ^ "/recon")
+             (Staged.stage (fun () -> ignore (Ppd.Reconstruct.reconstruct eb order)));
+           Test.make ~name:(name ^ "/fb-content") (Staged.stage (first_query content));
+           Test.make ~name:(name ^ "/fb-order") (Staged.stage (first_query order));
+         ])
+  in
+  let t k = time_of results ("t14/" ^ name ^ "/" ^ k) in
+  let content_bytes = Store.Segment.encoded_size content in
+  let order_bytes = Store.Segment.encoded_size order in
+  Json.(
+    Obj
+      [
+        ("workload", Str name);
+        ("sync_heavy", Bool sync_heavy);
+        ("steps", Int (Runtime.Machine.nsteps m));
+        ("content_bytes", Int content_bytes);
+        ("order_bytes", Int order_bytes);
+        ("checkpoints", Int (Array.length order.Trace.Log.ckpts));
+        (* reconstruction == content log, entry for entry *)
+        ( "identity",
+          Bool
+            (recon.Trace.Log.entries = content.Trace.Log.entries
+            && recon.Trace.Log.stops = content.Trace.Log.stops) );
+        ("recon_ns", Float (t "recon"));
+        (* Controller.start + first query; the order tier's includes the
+           reconstruction *)
+        ("fb_content_ns", Float (t "fb-content"));
+        ("fb_order_ns", Float (t "fb-order"));
+        (* restore scan cost without checkpoints, then seeded from the
+           nearest checkpoint *)
+        ("scan_full", Int (scanned content));
+        ("scan_ckpt", Int (scanned recon));
+        ("ratio", Float (ratio (float_of_int content_bytes) (float_of_int order_bytes)));
+      ])
 
-let t14 () =
-  header "T14  Ordering-based logging: bytes, reconstruction, seeks";
-  row "%-14s %8s %9s %9s %7s %6s %10s %10s %10s %7s %7s\n" "workload" "steps"
-    "content" "order" "ratio" "ident" "recon" "fb-cont" "fb-order" "scanF"
-    "scanC";
-  List.iter
-    (fun r ->
-      row "%-14s %8d %8dB %8dB %6.1fx %6b %10s %10s %10s %7d %7d\n" r.tv_name
-        r.tv_steps r.tv_content_bytes r.tv_order_bytes
-        (float_of_int r.tv_content_bytes /. float_of_int r.tv_order_bytes)
-        r.tv_identity (fmt_ns r.tv_recon_ns)
-        (fmt_ns r.tv_fb_content_ns)
-        (fmt_ns r.tv_fb_order_ns)
-        r.tv_scan_full r.tv_scan_ckpt)
-    (t14_rows ());
-  print_endline
-    "(order logs keep only the sync order plus checkpoints; debugging\n\
-    \      one re-executes the program under the recorded scheduler and\n\
-    \      validates the sync skeleton, so flowback answers are identical)"
+let t14 =
+  {
+    id = "t14";
+    title = "T14  Ordering-based logging: bytes, reconstruction, seeks";
+    note =
+      "(order logs keep only the sync order plus checkpoints; debugging\n\
+      \      one re-executes the program under the recorded scheduler and\n\
+      \      validates the sync skeleton, so flowback answers are identical)";
+    run = (fun () -> Json.List (List.map t14_row t14_workloads));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* T16: communication-protocol analysis — latency of the product        *)
@@ -1335,162 +1301,46 @@ let t16_workloads =
     ("ping_pong", Workloads.ping_pong ~rounds:2);
   ]
 
-type t16_row = {
-  tp_name : string;
-  tp_states : int;
-  tp_analyze_ns : float;
-  tp_conflicting : int;
-  tp_base : int;
-  tp_proto : int;
-}
-
-let t16_rows () =
-  List.map
-    (fun (name, src) ->
-      let prog = compile src in
-      let base = Analysis.Mhp.compute prog in
-      (* warm once (the measured call also produces the result we read) *)
-      ignore (Analysis.Proto.analyze ~mhp:base prog);
-      let iters = 25 in
-      let t0 = Obs.now_ns () in
-      let r = ref (Analysis.Proto.analyze ~mhp:base prog) in
-      for _ = 2 to iters do
-        r := Analysis.Proto.analyze ~mhp:base prog
-      done;
-      let ns = float_of_int (Obs.now_ns () - t0) /. float_of_int iters in
-      let r = !r in
-      let conflicting, d0 = Analysis.Proto.discharged_pairs prog base in
-      let d1 =
-        match r.Analysis.Proto.refined with
-        | Some m -> snd (Analysis.Proto.discharged_pairs prog m)
-        | None -> d0
-      in
-      {
-        tp_name = name;
-        tp_states = r.Analysis.Proto.stats.Analysis.Proto.states_full;
-        tp_analyze_ns = ns;
-        tp_conflicting = conflicting;
-        tp_base = d0;
-        tp_proto = d1;
-      })
-    t16_workloads
-
-let t16 () =
-  header "T16  Protocol analysis: latency and discharged MHP pairs";
-  row "%-14s %8s %11s %12s %10s %10s\n" "workload" "states" "analyze"
-    "conflicting" "base" "proto";
-  List.iter
-    (fun r ->
-      row "%-14s %8d %11s %12d %10d %10d\n" r.tp_name r.tp_states
-        (fmt_ns r.tp_analyze_ns) r.tp_conflicting r.tp_base r.tp_proto)
-    (t16_rows ());
-  print_endline
-    "(base counts pairs discharged by spawn/join structure alone; proto\n\
-    \      adds must-orderings and co-reachability exclusion from the\n\
-    \      synchronous-product exploration — it may never be smaller)"
-
-(* ------------------------------------------------------------------ *)
-(* JSON emission (for the CI perf gate): one row -> one JSON object.    *)
-(* ------------------------------------------------------------------ *)
-
-let t1_json r =
-  Json.Obj
-    [
-      ("workload", Json.Str r.t1_name);
-      ("steps", Json.Int r.t1_steps);
-      ("interp_bare_ns", Json.Float r.t1_interp_bare_ns);
-      ("interp_logged_ns", Json.Float r.t1_interp_logged_ns);
-      ("vm_bare_ns", Json.Float r.t1_vm_bare_ns);
-      ("vm_instr_ns", Json.Float r.t1_vm_instr_ns);
-      ("vm_logged_ns", Json.Float r.t1_vm_logged_ns);
-    ]
-
-let t9_json r =
-  Json.Obj
-    [
-      ("workload", Json.Str r.t9_name);
-      ("entries", Json.Int r.t9_entries);
-      ("v2_bytes", Json.Int r.t9_v2_bytes);
-      ("v2_save_ns", Json.Float r.t9_v2_save_ns);
-      ("v2_load_ns", Json.Float r.t9_v2_load_ns);
-      ("v2_open_ns", Json.Float r.t9_v2_open_ns);
-    ]
-
-let t10_json r =
-  let run tr =
-    Json.Obj
-      [
-        ("jobs", Json.Int tr.tr_jobs);
-        ("domains", Json.Int tr.tr_domains);
-        ("seconds", Json.Float tr.tr_seconds);
-      ]
+let t16_row (name, src) =
+  let prog = compile src in
+  let base = Analysis.Mhp.compute prog in
+  (* warm once (the measured call also produces the result we read) *)
+  ignore (Analysis.Proto.analyze ~mhp:base prog);
+  let iters = 25 in
+  let t0 = Obs.now_ns () in
+  let r = ref (Analysis.Proto.analyze ~mhp:base prog) in
+  for _ = 2 to iters do
+    r := Analysis.Proto.analyze ~mhp:base prog
+  done;
+  let ns = float_of_int (Obs.now_ns () - t0) /. float_of_int iters in
+  let r = !r in
+  let conflicting, d0 = Analysis.Proto.discharged_pairs prog base in
+  let d1 =
+    match r.Analysis.Proto.refined with
+    | Some m -> snd (Analysis.Proto.discharged_pairs prog m)
+    | None -> d0
   in
-  Json.Obj
-    [
-      ("workload", Json.Str r.tn_name);
-      ("intervals", Json.Int r.tn_intervals);
-      ("identical", Json.Bool r.tn_identical);
-      ("runs", Json.List (List.map run r.tn_runs));
-    ]
+  Json.(
+    Obj
+      [
+        ("workload", Str name);
+        ("states", Int r.Analysis.Proto.stats.Analysis.Proto.states_full);
+        ("analyze_ns", Float ns);
+        ("conflicting", Int conflicting);
+        ("discharged_base", Int d0);
+        ("discharged_proto", Int d1);
+      ])
 
-let t11_json r =
-  Json.Obj
-    [
-      ("workload", Json.Str r.te_name);
-      ("bare_ns", Json.Float r.te_bare_ns);
-      ("off_ns", Json.Float r.te_off_ns);
-      ("on_ns", Json.Float r.te_on_ns);
-    ]
-
-let t12_json r =
-  Json.Obj
-    [
-      ("workload", Json.Str r.tf_name);
-      ("off_ns", Json.Float r.tf_off_ns);
-      ("armed_ns", Json.Float r.tf_armed_ns);
-    ]
-
-let t13_json r =
-  Json.Obj
-    [
-      ("sessions", Json.Int r.td_sessions);
-      ("requests", Json.Int r.td_requests);
-      ("errors", Json.Int r.td_errors);
-      ("p50_ns", Json.Float r.td_p50_ns);
-      ("p99_ns", Json.Float r.td_p99_ns);
-      ("hits", Json.Int r.td_hits);
-      ("misses", Json.Int r.td_misses);
-      ("hit_rate", Json.Float r.td_hit_rate);
-      ("shed", Json.Int r.td_shed);
-    ]
-
-let t14_json r =
-  Json.Obj
-    [
-      ("workload", Json.Str r.tv_name);
-      ("sync_heavy", Json.Bool r.tv_sync_heavy);
-      ("steps", Json.Int r.tv_steps);
-      ("content_bytes", Json.Int r.tv_content_bytes);
-      ("order_bytes", Json.Int r.tv_order_bytes);
-      ("checkpoints", Json.Int r.tv_ckpts);
-      ("identity", Json.Bool r.tv_identity);
-      ("recon_ns", Json.Float r.tv_recon_ns);
-      ("fb_content_ns", Json.Float r.tv_fb_content_ns);
-      ("fb_order_ns", Json.Float r.tv_fb_order_ns);
-      ("scan_full", Json.Int r.tv_scan_full);
-      ("scan_ckpt", Json.Int r.tv_scan_ckpt);
-    ]
-
-let t16_json r =
-  Json.Obj
-    [
-      ("workload", Json.Str r.tp_name);
-      ("states", Json.Int r.tp_states);
-      ("analyze_ns", Json.Float r.tp_analyze_ns);
-      ("conflicting", Json.Int r.tp_conflicting);
-      ("discharged_base", Json.Int r.tp_base);
-      ("discharged_proto", Json.Int r.tp_proto);
-    ]
+let t16 =
+  {
+    id = "t16";
+    title = "T16  Protocol analysis: latency and discharged MHP pairs";
+    note =
+      "(base counts pairs discharged by spawn/join structure alone; proto\n\
+      \      adds must-orderings and co-reachability exclusion from the\n\
+      \      synchronous-product exploration — it may never be smaller)";
+    run = (fun () -> Json.List (List.map t16_row t16_workloads));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* T17: daemon survivability (DESIGN §17) — deadline refusals,          *)
@@ -1504,26 +1354,6 @@ let t16_json r =
    protocol errors, which must stay zero. check_t17 enforces that
    bar, the isolation bound (healthy p99 beside a poisoned co-tenant
    at most 2x the baseline), and the memory budget. *)
-
-type t17_row = {
-  tz_scenario : string;
-  tz_requests : int;
-  tz_errors : int;  (* unexpected protocol errors: the bar is zero *)
-  tz_refused : int;  (* PPD050/PPD090/PPD091 issued by design *)
-  tz_p50_ns : float;
-  tz_p99_ns : float;
-  tz_aux : (string * int) list;  (* scenario-specific counters *)
-}
-
-type t17_acc = {
-  za_lock : Mutex.t;
-  mutable za_lats : float list;
-  mutable za_errors : int;
-  mutable za_refused : int;
-}
-
-let t17_acc () =
-  { za_lock = Mutex.create (); za_lats = []; za_errors = 0; za_refused = 0 }
 
 let t17_expected =
   [ "PPD050"; Serve.Rpc.err_deadline; Serve.Rpc.err_quarantined ]
@@ -1549,317 +1379,187 @@ let t17_poison seg =
   Out_channel.with_open_bin seg (fun oc ->
       Out_channel.output_string oc (Bytes.to_string b))
 
-let t17_err_code resp =
-  match Json.parse resp with
-  | Ok v ->
-    Option.map
-      (fun e ->
-        Option.value ~default:"?"
-          (Option.bind (Json.member "code" e) Json.to_str))
-      (Json.member "error" v)
-  | Error _ -> Some "unparseable"
-
-(* One client session: open a handle on [seg], issue [requests]
-   flowbacks with [params] spliced into the body, classify every
-   response, fold the latencies into [acc]. *)
-let t17_client srv ~mpl ~seg ~requests ~params acc =
-  let s = Serve.Server.session srv in
-  let say line = Serve.Server.handle_line srv s line in
-  let h =
-    let resp = say (open_request ~seg ~mpl) in
-    match Json.parse resp with
-    | Ok v -> (
-      match Json.member "result" v with
-      | Some r -> t13_jint r "handle"
-      | None -> -1)
-    | Error _ -> -1
-  in
-  let my = ref [] and errs = ref 0 and refused = ref 0 in
-  for k = 1 to requests do
-    let line =
-      Printf.sprintf
-        {|{"id":%d,"method":"flowback","params":{"handle":%d,"depth":2%s}}|}
-        (k + 1) h params
-    in
-    let t0 = Obs.now_ns () in
-    let resp = say line in
-    let dt = float_of_int (Obs.now_ns () - t0) in
-    (match t17_err_code resp with
-    | None -> ()
-    | Some c when List.mem c t17_expected -> incr refused
-    | Some _ -> incr errs);
-    my := dt :: !my
-  done;
-  ignore
-    (say
-       (Printf.sprintf {|{"id":99,"method":"close","params":{"handle":%d}}|} h));
-  Serve.Server.end_session srv s;
-  Mutex.lock acc.za_lock;
-  acc.za_lats <- !my @ acc.za_lats;
-  acc.za_errors <- acc.za_errors + !errs;
-  acc.za_refused <- acc.za_refused + !refused;
-  Mutex.unlock acc.za_lock
-
-let t17_finish ~scenario ~aux acc =
-  let sorted = Array.of_list acc.za_lats in
-  Array.sort Float.compare sorted;
-  {
-    tz_scenario = scenario;
-    tz_requests = Array.length sorted;
-    tz_errors = acc.za_errors;
-    tz_refused = acc.za_refused;
-    tz_p50_ns = t13_percentile sorted 0.50;
-    tz_p99_ns = t13_percentile sorted 0.99;
-    tz_aux = aux;
-  }
-
-let t17_stats srv =
-  let s = Serve.Server.session srv in
-  let resp =
-    Serve.Server.handle_line srv s {|{"id":1,"method":"serverStats"}|}
-  in
-  Serve.Server.end_session srv s;
-  match Json.parse resp with
-  | Ok v -> Json.member "result" v
-  | Error _ -> None
-
-let t17_config =
-  {
-    Serve.Server.default_config with
-    jobs = 1;
-    max_active = 8;
-    max_queue = 4096;
-  }
-
-let t17_rows () =
-  let mpl, seg = t13_fixture () in
-  let bad = seg ^ ".poisoned" in
-  t17_copy seg bad;
-  t17_poison bad;
-  let jpath = Filename.temp_file "ppd_t17" ".journal" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun f -> try Sys.remove f with Sys_error _ -> ())
-        [ mpl; seg; bad; jpath ])
-    (fun () ->
-      (* deadline: a mocked resilience clock advances 10 ms per
-         reading, so a 5 ms budget is over by the first deadline check
-         and every request that replays is refused at an e-block
-         boundary; the percentiles are the real-time cost of saying no
-         (wall-clock latencies are measured on the unmocked Obs clock) *)
-      let deadline_row =
-        let tick = Atomic.make 0 in
-        Resil.Clock.with_source
-          (fun () -> 10_000_000 * Atomic.fetch_and_add tick 1)
-          (fun () ->
-            let srv = Serve.Server.create ~config:t17_config () in
-            let acc = t17_acc () in
-            let ths =
-              List.init 4 (fun _ ->
-                  Thread.create
-                    (fun () ->
-                      t17_client srv ~mpl ~seg ~requests:8
-                        ~params:{|,"deadlineMs":5|} acc)
-                    ())
-            in
-            List.iter Thread.join ths;
-            Serve.Server.shutdown srv;
-            t17_finish ~scenario:"deadline" ~aux:[] acc)
-      in
-      (* the healthy load alone: the baseline the isolation bound
-         compares against *)
-      let baseline_row =
-        let srv = Serve.Server.create ~config:t17_config () in
-        let acc = t17_acc () in
-        let ths =
-          List.init 4 (fun _ ->
-              Thread.create
-                (fun () -> t17_client srv ~mpl ~seg ~requests:6 ~params:"" acc)
-                ())
-        in
-        List.iter Thread.join ths;
-        Serve.Server.shutdown srv;
-        t17_finish ~scenario:"quarantine_baseline" ~aux:[] acc
-      in
-      (* the same healthy load beside a poisoned co-tenant: the bad
-         log trips its breaker and fast-fails; the healthy sessions
-         must barely notice *)
-      let quarantine_rows =
-        let srv = Serve.Server.create ~config:t17_config () in
-        let healthy = t17_acc () in
-        let poisoned = t17_acc () in
-        let ths =
-          List.init 4 (fun _ ->
-              Thread.create
-                (fun () ->
-                  t17_client srv ~mpl ~seg ~requests:6 ~params:"" healthy)
-                ())
-          @ List.init 2 (fun _ ->
-                Thread.create
-                  (fun () ->
-                    t17_client srv ~mpl ~seg:bad ~requests:8 ~params:""
-                      poisoned)
-                  ())
-        in
-        List.iter Thread.join ths;
-        let trips, fast =
-          match
-            Option.bind (t17_stats srv) (Json.member "breakers")
-          with
-          | Some (Json.List bs) ->
-            List.fold_left
-              (fun (t, f) b ->
-                (t + t13_jint b "trips", f + t13_jint b "fastFails"))
-              (0, 0) bs
-          | Some _ | None -> (0, 0)
-        in
-        Serve.Server.shutdown srv;
-        [
-          t17_finish ~scenario:"quarantine_healthy"
-            ~aux:[ ("breaker_trips", trips); ("breaker_fast_fails", fast) ]
-            healthy;
-          t17_finish ~scenario:"quarantine_poisoned" ~aux:[] poisoned;
-        ]
-      in
-      (* recovery: journal, crash (no shutdown), resume, attach the
-         dead session, re-query — the latency is the whole cycle *)
-      let recovery_row =
-        let acc = t17_acc () in
-        let srv0 = Serve.Server.create ~config:t17_config ~journal:jpath () in
-        let s0 = Serve.Server.session srv0 in
-        let say0 line = Serve.Server.handle_line srv0 s0 line in
-        ignore (say0 (open_request ~seg ~mpl));
-        ignore (say0 {|{"id":2,"method":"flowback","params":{"handle":1,"depth":2}}|});
-        let dead = ref (Serve.Server.session_id s0) in
-        let cycles = 5 in
-        for _ = 1 to cycles do
-          let t0 = Obs.now_ns () in
-          let srv = Serve.Server.create ~config:t17_config ~resume:jpath () in
-          let s = Serve.Server.session srv in
-          let say line = Serve.Server.handle_line srv s line in
-          let at =
-            say
-              (Printf.sprintf
-                 {|{"id":1,"method":"attach","params":{"session":%d}}|} !dead)
-          in
-          let resp =
-            say {|{"id":2,"method":"flowback","params":{"handle":1,"depth":2}}|}
-          in
-          let dt = float_of_int (Obs.now_ns () - t0) in
-          Mutex.lock acc.za_lock;
-          acc.za_lats <- dt :: acc.za_lats;
-          if t17_err_code at <> None || t17_err_code resp <> None then
-            acc.za_errors <- acc.za_errors + 1;
-          Mutex.unlock acc.za_lock;
-          dead := Serve.Server.session_id s
-          (* and crash again: no end_session, no shutdown — the journal
-             already re-recorded the adopted session under its new id *)
-        done;
-        t17_finish ~scenario:"recovery" ~aux:[ ("cycles", cycles) ] acc
-      in
-      (* 64 sessions under one daemon-wide byte budget: the caches
-         must evict to fit, and the answers must keep coming. A
-         monitor thread samples the gauges mid-soak (the high-water
-         mark), and a final session holds a handle open so the gauges
-         are live when the settled reading is taken. *)
-      let soak_row =
-        let config = { t17_config with mem_budget = 64 * 1024 } in
-        let srv = Serve.Server.create ~config () in
-        let acc = t17_acc () in
-        let mem_of () =
-          match Option.bind (t17_stats srv) (Json.member "memory") with
-          | Some m -> (t13_jint m "budgetCap", t13_jint m "budgetUsed")
-          | None -> (0, 0)
-        in
-        let stop = Atomic.make false in
-        let high = Atomic.make 0 in
-        let monitor =
-          Thread.create
-            (fun () ->
-              while not (Atomic.get stop) do
-                let _, used = mem_of () in
-                if used > Atomic.get high then Atomic.set high used;
-                Thread.yield ()
-              done)
-            ()
-        in
-        let ths =
-          List.init 64 (fun _ ->
-              Thread.create
-                (fun () -> t17_client srv ~mpl ~seg ~requests:4 ~params:"" acc)
-                ())
-        in
-        List.iter Thread.join ths;
-        Atomic.set stop true;
-        Thread.join monitor;
-        (* the settled reading, with the caches still referenced *)
-        let s = Serve.Server.session srv in
-        ignore (Serve.Server.handle_line srv s (open_request ~seg ~mpl));
-        ignore
-          (Serve.Server.handle_line srv s
-             {|{"id":2,"method":"flowback","params":{"handle":1,"depth":2}}|});
-        let cap, used = mem_of () in
-        Serve.Server.end_session srv s;
-        Serve.Server.shutdown srv;
-        t17_finish ~scenario:"soak64"
-          ~aux:
-            [
-              ("budget_cap", cap);
-              ("budget_used", used);
-              ("budget_used_max", max used (Atomic.get high));
-            ]
-          acc
-      in
-      (deadline_row :: baseline_row :: quarantine_rows)
-      @ [ recovery_row; soak_row ])
-
-let t17 () =
-  header "T17  Daemon survivability: deadlines, quarantine, recovery, memory";
-  row "%-20s %9s %7s %8s %11s %11s  %s\n" "scenario" "requests" "errors"
-    "refused" "p50" "p99" "notes";
-  List.iter
-    (fun r ->
-      let notes =
-        String.concat " "
-          (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.tz_aux)
-      in
-      row "%-20s %9d %7d %8d %11s %11s  %s\n" r.tz_scenario r.tz_requests
-        r.tz_errors r.tz_refused (fmt_ns r.tz_p50_ns) (fmt_ns r.tz_p99_ns)
-        notes)
-    (t17_rows ());
-  print_endline
-    "(refusals are the resilience layer working as designed — PPD090 past\n\
-    \      a deadline, PPD050/PPD091 on the poisoned co-tenant; protocol\n\
-    \      errors must stay zero, and check_t17 gates the healthy p99 beside\n\
-    \      the poisoned co-tenant at 2x the baseline)"
-
-let t17_json r =
+(* Scenario-specific counters ride after the common keys. *)
+let t17_row scenario ?(extra = []) load =
+  let lats = sorted_lats load in
   Json.Obj
-    ([
-       ("scenario", Json.Str r.tz_scenario);
-       ("requests", Json.Int r.tz_requests);
-       ("errors", Json.Int r.tz_errors);
-       ("refused", Json.Int r.tz_refused);
-       ("p50_ns", Json.Float r.tz_p50_ns);
-       ("p99_ns", Json.Float r.tz_p99_ns);
-     ]
-    @ List.map (fun (k, v) -> (k, Json.Int v)) r.tz_aux)
+    (Json.
+       [
+         ("scenario", Str scenario);
+         ("requests", Int (Array.length lats));
+         ("errors", Int load.errors);
+         ("refused", Int load.refused);
+         ("p50_ns", Float (percentile lats 0.50));
+         ("p99_ns", Float (percentile lats 0.99));
+       ]
+    @ List.map (fun (k, v) -> (k, Json.Int v)) extra)
+
+let t17_rows ~mpl ~seg ~bad ~jpath =
+  let client = client ~mpl ~expected:t17_expected in
+  (* deadline: a mocked resilience clock advances 10 ms per
+     reading, so a 5 ms budget is over by the first deadline check
+     and every request that replays is refused at an e-block
+     boundary; the percentiles are the real-time cost of saying no
+     (wall-clock latencies are measured on the unmocked Obs clock) *)
+  let deadline_row =
+    let tick = Atomic.make 0 in
+    Resil.Clock.with_source
+      (fun () -> 10_000_000 * Atomic.fetch_and_add tick 1)
+      (fun () ->
+        let srv = Serve.Server.create ~config:serve_config () in
+        let load = new_load () in
+        concurrently
+          (List.init 4 (fun _ () ->
+               client srv ~seg ~requests:8 ~params:{|,"deadlineMs":5|} load));
+        Serve.Server.shutdown srv;
+        t17_row "deadline" load)
+  in
+  (* the healthy load alone: the baseline the isolation bound
+     compares against *)
+  let baseline_row =
+    let srv = Serve.Server.create ~config:serve_config () in
+    let load = new_load () in
+    concurrently (List.init 4 (fun _ () -> client srv ~seg ~requests:6 load));
+    Serve.Server.shutdown srv;
+    t17_row "quarantine_baseline" load
+  in
+  (* the same healthy load beside a poisoned co-tenant: the bad
+     log trips its breaker and fast-fails; the healthy sessions
+     must barely notice *)
+  let quarantine_rows =
+    let srv = Serve.Server.create ~config:serve_config () in
+    let healthy = new_load () in
+    let poisoned = new_load () in
+    concurrently
+      (List.init 4 (fun _ () -> client srv ~seg ~requests:6 healthy)
+      @ List.init 2 (fun _ () -> client srv ~seg:bad ~requests:8 poisoned));
+    let trips, fast =
+      match Option.bind (server_stats srv) (Json.member "breakers") with
+      | Some (Json.List bs) ->
+        List.fold_left
+          (fun (t, f) b -> (t + jint b "trips", f + jint b "fastFails"))
+          (0, 0) bs
+      | Some _ | None -> (0, 0)
+    in
+    Serve.Server.shutdown srv;
+    [
+      t17_row "quarantine_healthy"
+        ~extra:[ ("breaker_trips", trips); ("breaker_fast_fails", fast) ]
+        healthy;
+      t17_row "quarantine_poisoned" poisoned;
+    ]
+  in
+  (* recovery: journal, crash (no shutdown), resume, attach the
+     dead session, re-query — the latency is the whole cycle *)
+  let recovery_row =
+    let load = new_load () in
+    let srv0 = Serve.Server.create ~config:serve_config ~journal:jpath () in
+    let s0 = Serve.Server.session srv0 in
+    let say0 line = Serve.Server.handle_line srv0 s0 line in
+    ignore (say0 (open_request ~seg ~mpl));
+    ignore (say0 {|{"id":2,"method":"flowback","params":{"handle":1,"depth":2}}|});
+    let dead = ref (Serve.Server.session_id s0) in
+    let cycles = 5 in
+    for _ = 1 to cycles do
+      let t0 = Obs.now_ns () in
+      let srv = Serve.Server.create ~config:serve_config ~resume:jpath () in
+      let s = Serve.Server.session srv in
+      let say line = Serve.Server.handle_line srv s line in
+      let at =
+        say (Printf.sprintf {|{"id":1,"method":"attach","params":{"session":%d}}|} !dead)
+      in
+      let resp = say {|{"id":2,"method":"flowback","params":{"handle":1,"depth":2}}|} in
+      let dt = float_of_int (Obs.now_ns () - t0) in
+      load.lats <- dt :: load.lats;
+      if Result.is_error (response at) || Result.is_error (response resp) then
+        load.errors <- load.errors + 1;
+      dead := Serve.Server.session_id s
+      (* and crash again: no end_session, no shutdown — the journal
+         already re-recorded the adopted session under its new id *)
+    done;
+    t17_row "recovery" ~extra:[ ("cycles", cycles) ] load
+  in
+  (* 64 sessions under one daemon-wide byte budget: the caches
+     must evict to fit, and the answers must keep coming. A
+     monitor thread samples the gauges mid-soak (the high-water
+     mark), and a final session holds a handle open so the gauges
+     are live when the settled reading is taken. *)
+  let soak_row =
+    let config = { serve_config with mem_budget = 64 * 1024 } in
+    let srv = Serve.Server.create ~config () in
+    let load = new_load () in
+    let mem_of () =
+      match Option.bind (server_stats srv) (Json.member "memory") with
+      | Some m -> (jint m "budgetCap", jint m "budgetUsed")
+      | None -> (0, 0)
+    in
+    let stop = Atomic.make false in
+    let high = Atomic.make 0 in
+    let monitor =
+      Thread.create
+        (fun () ->
+          while not (Atomic.get stop) do
+            let _, used = mem_of () in
+            if used > Atomic.get high then Atomic.set high used;
+            Thread.yield ()
+          done)
+        ()
+    in
+    concurrently (List.init 64 (fun _ () -> client srv ~seg ~requests:4 load));
+    Atomic.set stop true;
+    Thread.join monitor;
+    (* the settled reading, with the caches still referenced *)
+    let s = Serve.Server.session srv in
+    ignore (Serve.Server.handle_line srv s (open_request ~seg ~mpl));
+    ignore
+      (Serve.Server.handle_line srv s
+         {|{"id":2,"method":"flowback","params":{"handle":1,"depth":2}}|});
+    let cap, used = mem_of () in
+    Serve.Server.end_session srv s;
+    Serve.Server.shutdown srv;
+    t17_row "soak64"
+      ~extra:
+        [
+          ("budget_cap", cap);
+          ("budget_used", used);
+          ("budget_used_max", max used (Atomic.get high));
+        ]
+      load
+  in
+  (deadline_row :: baseline_row :: quarantine_rows) @ [ recovery_row; soak_row ]
+
+let t17 =
+  {
+    id = "t17";
+    title = "T17  Daemon survivability: deadlines, quarantine, recovery, memory";
+    note =
+      "(refusals are the resilience layer working as designed — PPD090 past\n\
+      \      a deadline, PPD050/PPD091 on the poisoned co-tenant; protocol\n\
+      \      errors must stay zero, and check_t17 gates the healthy p99 beside\n\
+      \      the poisoned co-tenant at 2x the baseline)";
+    run =
+      (fun () ->
+        let mpl, seg = serve_fixture () in
+        let bad = seg ^ ".poisoned" in
+        t17_copy seg bad;
+        t17_poison bad;
+        let jpath = Filename.temp_file "ppd_t17" ".journal" in
+        Fun.protect
+          ~finally:(fun () ->
+            List.iter
+              (fun f -> try Sys.remove f with Sys_error _ -> ())
+              [ mpl; seg; bad; jpath ])
+          (fun () -> Json.List (t17_rows ~mpl ~seg ~bad ~jpath)));
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Figures.                                                             *)
+(* Figures (console only).                                              *)
 (* ------------------------------------------------------------------ *)
 
 let f41 () =
   header "Figure 4.1  Dynamic program dependence graph (SubD fragment)";
-  let prog = compile Workloads.fig41 in
-  let eb = Analysis.Eblock.analyze prog in
-  let logger = Trace.Logger.create eb in
-  let m =
-    Runtime.Machine.create ~sched ~hooks:(Trace.Logger.factory logger) prog
-  in
-  ignore (Runtime.Machine.run m);
-  let log = Trace.Logger.finish logger in
+  let eb = Analysis.Eblock.analyze (compile Workloads.fig41) in
+  let _, log, _ = Trace.Logger.run_logged ~sched eb in
   let ctl = Ppd.Controller.start eb log in
   ignore (Ppd.Controller.last_event_node ctl ~pid:0);
   Format.printf "%a@." Ppd.Dyn_graph.pp (Ppd.Controller.graph ctl)
@@ -1875,60 +1575,16 @@ let f61 () =
   header "Figure 6.1  Parallel dynamic graph (three processes, blocking send)";
   let prog = compile Workloads.fig61 in
   let obs = Ppd.Pardyn.observer prog in
-  let m = Runtime.Machine.create ~sched ~hooks:(Ppd.Pardyn.factory obs) prog in
-  ignore (Runtime.Machine.run m);
+  ignore (machine ~hooks:(Ppd.Pardyn.factory obs) prog);
   Format.printf "%a@." Ppd.Pardyn.pp (Ppd.Pardyn.finish obs)
 
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let experiments =
-  [
-    ("f41", f41);
-    ("f53", f53);
-    ("f61", f61);
-    ("t1", t1);
-    ("t2", t2);
-    ("t3", t3);
-    ("t4", t4);
-    ("t5", t5);
-    ("t6", t6);
-    ("t7", t7);
-    ("t8", t8);
-    ("t9", t9);
-    ("t10", t10);
-    ("t11", t11);
-    ("t12", t12);
-    ("t13", t13);
-    ("t14", t14);
-    ("t16", t16);
-    ("t17", t17);
-  ]
+let figures = [ ("f41", f41); ("f53", f53); ("f61", f61) ]
 
-(* Tables with a machine-readable emitter (`bench -- --json t9 t10`):
-   one top-level object, a field per table, plus the host core count so
-   downstream gates can tell whether a speedup was even possible. *)
-let json_experiments =
-  let table rows row () = Json.List (List.map row (rows ())) in
-  let with_disabled op_ns rows row () =
-    Json.Obj
-      [
-        ("disabled_op_ns", Json.Float (op_ns ()));
-        ("rows", table rows row ());
-      ]
-  in
-  [
-    ("t1", table t1_rows t1_json);
-    ("t9", table t9_rows t9_json);
-    ("t10", table t10_rows t10_json);
-    ("t11", with_disabled t11_disabled_op_ns t11_rows t11_json);
-    ("t12", with_disabled t12_disabled_op_ns t12_rows t12_json);
-    ("t13", table t13_rows t13_json);
-    ("t14", table t14_rows t14_json);
-    ("t16", table t16_rows t16_json);
-    ("t17", table t17_rows t17_json);
-  ]
+let tables = [ t1; t2; t3; t4; t5; t6; t7; t8; t9; t10; t11; t12; t13; t14; t16; t17 ]
 
 let () =
   let args =
@@ -1940,7 +1596,8 @@ let () =
     |> List.filter (fun a -> a <> "--json")
     |> List.map String.lowercase_ascii
   in
-  let available = List.map fst experiments in
+  let table_ids = List.map (fun t -> t.id) tables in
+  let available = List.map fst figures @ table_ids in
   (* a misspelled table must not silently pass (previously `bench -- t99`
      ran nothing and exited 0) *)
   let unknown = List.filter (fun r -> not (List.mem r available)) requested in
@@ -1951,31 +1608,20 @@ let () =
     exit 1
   end;
   if json_mode then begin
-    let requested =
-      if requested = [] then List.map fst json_experiments else requested
-    in
-    let no_json =
-      List.filter (fun r -> not (List.mem_assoc r json_experiments)) requested
-    in
-    if no_json <> [] then begin
+    let figs = List.filter (fun r -> List.mem_assoc r figures) requested in
+    if figs <> [] then begin
       Printf.eprintf "no JSON emitter for: %s\nJSON-capable: %s\n"
-        (String.concat ", " no_json)
-        (String.concat ", " (List.map fst json_experiments));
+        (String.concat ", " figs)
+        (String.concat ", " table_ids);
       exit 1
     end;
-    let fields =
-      List.map (fun r -> (r, (List.assoc r json_experiments) ())) requested
-    in
-    print_endline
-      (Json.to_string
-         (Json.Obj
-            (("host_cores", Json.Int (Exec.Pool.default_jobs ())) :: fields)))
+    print_json
+      (if requested = [] then tables
+       else List.map (fun r -> List.find (fun t -> t.id = r) tables) requested)
   end
   else begin
-    let selected =
-      if requested = [] then experiments
-      else List.filter (fun (name, _) -> List.mem name requested) experiments
-    in
+    let wanted id = requested = [] || List.mem id requested in
     print_endline "PPD benchmark harness (Miller & Choi, PLDI 1988)";
-    List.iter (fun (_, f) -> f ()) selected
+    List.iter (fun (id, f) -> if wanted id then f ()) figures;
+    List.iter (fun t -> if wanted t.id then print_table t) tables
   end

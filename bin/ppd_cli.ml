@@ -762,30 +762,37 @@ let log_cmd =
 
 let verify_log_cmd =
   let run path =
-    match Store.Segment.verify path with
-    | rp ->
-      Printf.printf "%s: v2, %d bytes, %d record(s) in %d page(s), %s\n" path
-        rp.Store.Segment.vr_bytes rp.Store.Segment.vr_records
-        rp.Store.Segment.vr_pages
-        (if rp.Store.Segment.vr_indexed then "index intact"
-         else "index unusable");
-      (match rp.Store.Segment.vr_damage with
-      | [] -> print_endline "no damage detected"
-      | dmg ->
-        List.iter
-          (fun d ->
-            Printf.printf "damage at byte %d: %s\n" d.Store.Segment.dmg_offset
-              d.Store.Segment.dmg_reason)
-          dmg;
-        exit 4)
+    match Store.Segment.fsck path with
     | exception Store.Segment.Unreadable { path; reason } ->
       die_unreadable ~path ~reason
+    | rp ->
+      let open Store.Segment in
+      let intact = List.filter (fun p -> p.fp_error = None) rp.fk_pages in
+      Printf.printf "%s: v2, %d bytes, %d record(s) in %d page(s), %s\n" path
+        rp.fk_bytes rp.fk_records (List.length intact)
+        (if rp.fk_indexed then "index intact" else "index unusable");
+      let damage =
+        List.filter_map
+          (fun p -> Option.map (fun r -> (p.fp_offset, r)) p.fp_error)
+          rp.fk_pages
+        @ List.map (fun d -> (d.dmg_offset, d.dmg_reason)) rp.fk_damage
+        |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+      in
+      if damage = [] then print_endline "no damage detected"
+      else begin
+        List.iter
+          (fun (off, reason) ->
+            Printf.printf "damage at byte %d: %s\n" off reason)
+          damage;
+        exit 4
+      end
   in
   Cmd.v
     (Cmd.info "verify-log"
        ~doc:
-         "Walk every record frame of a saved log, checking CRCs, the \
-          footer index and the trailer; exit 4 when damage is found.")
+         "Summarise the $(b,fsck) report of a saved log: intact records \
+          and pages, whether the footer index is usable, and every damaged \
+          frame in byte order; exit 4 when damage is found.")
     Term.(const run $ log_path_arg)
 
 let fsck_cmd =
@@ -800,12 +807,12 @@ let fsck_cmd =
   Cmd.v
     (Cmd.info "fsck"
        ~doc:
-         "Check every page of a saved log — not just the prefix \
-          $(b,verify-log) walks — and print a machine-readable JSON \
-          damage report: per-page CRC failures with byte offsets, plus \
-          a salvage summary (how many processes, records and intervals \
-          survive). Exit 0 when clean, 4 when damaged, 6 when the file \
-          is not a log at all.")
+         "Check every page of a saved log and print a machine-readable \
+          JSON damage report, the one $(b,verify-log) summarises: \
+          per-page CRC failures with byte offsets, plus a salvage \
+          summary (how many processes, records and intervals survive). \
+          Exit 0 when clean, 4 when damaged, 6 when the file is not a \
+          log at all.")
     Term.(const run $ log_path_arg)
 
 let flowback_cmd =

@@ -602,8 +602,7 @@ let ctl_params t params =
 
 (* Post-query accounting: fold the controller's exact per-instance
    counters into the session (plain ints) and the Obs namespaces. *)
-let account t s (st : Ppd.Controller.stats) =
-  ignore t;
+let account s (st : Ppd.Controller.stats) =
   s.s_cache_hits <- s.s_cache_hits + st.Ppd.Controller.cache_hits;
   s.s_cache_misses <- s.s_cache_misses + st.Ppd.Controller.cache_misses;
   s.s_replay_steps <- s.s_replay_steps + st.Ppd.Controller.replay_steps;
@@ -623,9 +622,10 @@ let query_result ~output (st : Ppd.Controller.stats) =
       ("cacheMisses", J.Int st.Ppd.Controller.cache_misses);
     ]
 
-let m_flowback t s ~deadline params =
-  let* e = p_handle t s params in
-  let* depth = p_int_opt params "depth" ~default:4 in
+(* The steps every paged query shares: controller parameters, a
+   per-request controller, the rendered header, accounting and the
+   result object. Only [render] differs between methods. *)
+let paged_query t s ~deadline (e : entry) params render =
   let* degraded, max_replay_steps = ctl_params t params in
   guarded (fun () ->
       let ctl =
@@ -637,35 +637,28 @@ let m_flowback t s ~deadline params =
       Render.header sink ~path:e.e_log
         ~version:(Store.Segment.version e.e_reader)
         ~nprocs:(Store.Segment.nprocs e.e_reader);
+      render sink ctl;
+      let st = Ppd.Controller.stats ctl in
+      account s st;
+      Ok (query_result ~output:(Buffer.contents buf) st))
+
+let m_flowback t s ~deadline params =
+  let* e = p_handle t s params in
+  let* depth = p_int_opt params "depth" ~default:4 in
+  paged_query t s ~deadline e params (fun sink ctl ->
       let root =
         if Store.Segment.nprocs e.e_reader = 0 then None
         else Ppd.Controller.last_event_node ctl ~pid:0
       in
-      Render.flowback_report sink ~depth ~dot:None ctl root;
-      let st = Ppd.Controller.stats ctl in
-      account t s st;
-      Ok (query_result ~output:(Buffer.contents buf) st))
+      Render.flowback_report sink ~depth ~dot:None ctl root)
 
 let m_replay t s ~deadline params =
   let* e = p_handle t s params in
   let* dump = p_bool_opt params "dump" ~default:false in
-  let* degraded, max_replay_steps = ctl_params t params in
-  guarded (fun () ->
-      let ctl =
-        request_ctl t e ~degraded ~max_replay_steps ~deadline
-          ~seed:(request_seed s)
-      in
-      let buf = Buffer.create 1024 in
-      let sink = Render.buffer_sink buf in
-      Render.header sink ~path:e.e_log
-        ~version:(Store.Segment.version e.e_reader)
-        ~nprocs:(Store.Segment.nprocs e.e_reader);
+  paged_query t s ~deadline e params (fun sink ctl ->
       Render.replay_report sink ~dump
         ~nprocs:(Store.Segment.nprocs e.e_reader)
-        ctl;
-      let st = Ppd.Controller.stats ctl in
-      account t s st;
-      Ok (query_result ~output:(Buffer.contents buf) st))
+        ctl)
 
 let m_race t s ~deadline params =
   let* e = p_handle t s params in
@@ -677,7 +670,6 @@ let m_race t s ~deadline params =
       in
       let pd = Ppd.Controller.pardyn ctl in
       let stats = Ppd.Race.detect pd in
-      ignore s;
       let output =
         Format.asprintf "%a@." (Ppd.Race.pp_report pd) stats.Ppd.Race.races
       in

@@ -1158,38 +1158,15 @@ let load path =
       salvage (scan ix.ix_raw))
 
 (* ------------------------------------------------------------------ *)
-(* Verification.                                                        *)
-(* ------------------------------------------------------------------ *)
-
-type report = {
-  vr_bytes : int;
-  vr_pages : int;
-  vr_records : int;
-  vr_indexed : bool;
-  vr_damage : damage list;
-}
-
-let verify path =
-  let raw = read_file path in
-  check_magic path raw;
-  let sc = scan raw in
-  {
-    vr_bytes = String.length raw;
-    vr_pages = List.length sc.sc_pages;
-    vr_records = sc.sc_nentries;
-    vr_indexed = sc.sc_index <> None;
-    vr_damage = sc.sc_damage;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* fsck: exhaustive per-page damage report.                             *)
 (* ------------------------------------------------------------------ *)
 
-(* [verify] reuses the salvage scan, which stops at the first bad
-   frame; fsck instead checks *every* page the footer index knows
-   about, so a single flipped bit mid-file still yields a complete
-   per-page report with the offsets of all damage, plus a summary of
-   what a salvage would recover. *)
+(* fsck checks *every* page the footer index knows about, so a single
+   flipped bit mid-file still yields a complete per-page report with
+   the offsets of all damage, plus a summary of what a salvage would
+   recover. Without a usable index the salvage scan, which stops at the
+   first bad frame, is all there is. `ppd verify-log` prints a summary
+   of this report. *)
 
 type fsck_page = {
   fp_pid : int;

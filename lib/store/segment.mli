@@ -195,19 +195,6 @@ val load : string -> Trace.Log.t
 val encoded_size : Trace.Log.t -> int
 (** Exact v2 on-disk size in bytes, without touching the filesystem. *)
 
-type report = {
-  vr_bytes : int;
-  vr_pages : int;  (** intact page frames *)
-  vr_records : int;  (** intact entry records inside those pages *)
-  vr_indexed : bool;  (** the footer index is usable *)
-  vr_damage : damage list;  (** empty iff the file is clean *)
-}
-
-val verify : string -> report
-(** Walk every frame of the file (CRC and structural checks, trailer
-    and footer validation) and report all damage found. @raise
-    Unreadable only when the magic itself is foreign or legacy. *)
-
 type fsck_page = {
   fp_pid : int;
   fp_page : int;  (** page ordinal within the process *)
@@ -230,11 +217,12 @@ type fsck_report = {
 }
 
 val fsck : string -> fsck_report
-(** Exhaustive damage report. Unlike {!verify}, whose forward scan
-    stops at the first bad frame, [fsck] checks {e every} page the
-    footer index names, so damage in the middle of an otherwise-intact
-    file is reported per page with offsets; without a usable index it
-    reports the salvageable prefix. @raise Unreadable only when the
+(** Exhaustive damage report (`ppd fsck`, summarised by
+    `ppd verify-log`): [fsck] checks {e every} page the footer index
+    names, so damage in the middle of an otherwise-intact file is
+    reported per page with offsets; without a usable index the salvage
+    scan stops at the first bad frame and it reports the salvageable
+    prefix. @raise Unreadable only when the
     magic itself is foreign or legacy. *)
 
 (** One page {!repair} had to leave behind. *)

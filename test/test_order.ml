@@ -60,12 +60,12 @@ let test_order_roundtrip () =
           Alcotest.(check bool)
             (name ^ " order log round-trips (tier, ckpts, entries)")
             true (order' = order);
-          let r = S.verify path in
+          let r = S.fsck path in
           Alcotest.(check bool) (name ^ " verifies clean") true
-            (r.S.vr_damage = []);
+            r.S.fk_clean;
           Alcotest.(check int)
             (name ^ " measured size")
-            r.S.vr_bytes (S.encoded_size order)))
+            r.S.fk_bytes (S.encoded_size order)))
     corpus
 
 (* An order log is dramatically smaller exactly when sync units read
@@ -107,10 +107,10 @@ let test_order_truncation_salvage () =
       in
       for len = 8 to n - 1 do
         cut len;
-        let r = S.verify path in
+        let r = S.fsck path in
         Alcotest.(check bool)
           (Printf.sprintf "cut at %d detected" len)
-          true (r.S.vr_damage <> []);
+          true (not r.S.fk_clean);
         let salvaged = S.load path in
         Alcotest.(check bool)
           (Printf.sprintf "cut at %d salvages a prefix" len)
@@ -134,13 +134,13 @@ let test_order_byte_flip_detected () =
         Bytes.set b i (Char.chr (Char.code full.[i] lxor 0xFF));
         Out_channel.with_open_bin path (fun oc ->
             Out_channel.output_bytes oc b);
-        (match S.verify path with
+        (match S.fsck path with
         | exception Store.Segment.Unreadable _ -> ()
         | r ->
           Alcotest.(check bool)
             (Printf.sprintf "flip at %d detected" i)
             true
-            (r.S.vr_damage <> []));
+            (not r.S.fk_clean));
         match S.load path with
         | exception Store.Segment.Unreadable _ -> ()
         | salvaged ->

@@ -34,10 +34,10 @@ let roundtrip_prop =
       with_tmp (fun path ->
           S.save path log;
           let log' = S.load path in
-          let r = S.verify path in
-          log' = log && r.S.vr_indexed
-          && r.S.vr_damage = []
-          && r.S.vr_records = L.entry_count log))
+          let r = S.fsck path in
+          log' = log && r.S.fk_indexed
+          && r.S.fk_clean
+          && r.S.fk_records = L.entry_count log))
 
 let test_fixed_corpus_roundtrip () =
   List.iter
@@ -46,11 +46,11 @@ let test_fixed_corpus_roundtrip () =
       with_tmp (fun path ->
           S.save path log;
           check_log_equal name log (S.load path);
-          let r = S.verify path in
-          Alcotest.(check bool) (name ^ " clean") true (r.S.vr_damage = []);
+          let r = S.fsck path in
+          Alcotest.(check bool) (name ^ " clean") true r.S.fk_clean;
           Alcotest.(check int)
             (name ^ " measured size")
-            r.S.vr_bytes
+            r.S.fk_bytes
             (S.encoded_size log)))
     Workloads.all_fixed
 
@@ -70,9 +70,9 @@ let test_streamed_equals_memory () =
       S.Writer.close w;
       check_log_equal "streamed file decodes to the in-memory log" log
         (S.load path);
-      let r = S.verify path in
-      Alcotest.(check bool) "index intact" true r.S.vr_indexed;
-      Alcotest.(check bool) "no damage" true (r.S.vr_damage = []))
+      let r = S.fsck path in
+      Alcotest.(check bool) "index intact" true r.S.fk_indexed;
+      Alcotest.(check bool) "no damage" true r.S.fk_clean)
 
 let test_measure_matches_disk () =
   (* encoded_size must report the exact on-disk byte count *)
@@ -116,7 +116,6 @@ let test_v1_refused () =
             [
               ("open_file", fun () -> ignore (S.open_file path));
               ("load", fun () -> ignore (S.load path));
-              ("verify", fun () -> ignore (S.verify path));
               ("fsck", fun () -> ignore (S.fsck path));
               ("repair", fun () -> ignore (S.repair path ~out));
             ];
@@ -164,10 +163,10 @@ let test_truncation_salvage () =
       in
       for len = 8 to n - 1 do
         cut len;
-        let r = S.verify path in
+        let r = S.fsck path in
         Alcotest.(check bool)
           (Printf.sprintf "cut at %d detected" len)
-          true (r.S.vr_damage <> []);
+          true (not r.S.fk_clean);
         let salvaged = S.load path in
         Alcotest.(check bool)
           (Printf.sprintf "cut at %d salvages a prefix" len)
@@ -199,13 +198,13 @@ let test_byte_flip_always_detected () =
         Bytes.set b i (Char.chr (Char.code full.[i] lxor 0xFF));
         Out_channel.with_open_bin path (fun oc ->
             Out_channel.output_bytes oc b);
-        (match S.verify path with
+        (match S.fsck path with
         | exception Store.Segment.Unreadable _ -> ()
         | r ->
           Alcotest.(check bool)
             (Printf.sprintf "flip at %d detected" i)
             true
-            (r.S.vr_damage <> []));
+            (not r.S.fk_clean));
         match S.load path with
         | exception Store.Segment.Unreadable _ -> ()
         | salvaged ->
