@@ -170,9 +170,11 @@ let run_logged_race eb =
   in
   ignore (machine ~hooks eb.Analysis.Eblock.prog)
 
-(* Events materialized (nil hooks count as instrumentation) but nothing
-   consumes them: isolates the cost of producing the event stream from
-   the cost of the logger proper. *)
+(* Instrumented, no consumer: nil hooks make the machine build the
+   boundary events the logger reads (frames, processes, loops, calls,
+   sync) but, wanting no statement events, not the per-statement ones.
+   Isolates the cost of producing what the logger consumes from the
+   cost of the logger proper. *)
 let run_instr_vm prog = ignore (machine ~hooks:Runtime.Hooks.nil prog)
 
 let logged_artifacts src =
@@ -199,10 +201,12 @@ let workloads =
 (* T1: execution-phase overhead of logging (§7: "less than 15%").       *)
 (* ------------------------------------------------------------------ *)
 
-(* One Bechamel pass times every variant. The first seven keys are what
-   scripts/perf_gate.py check_t1_vm reads. Steps/run is identical across
-   engines — the differential oracle proves it — so steps/sec ratios
-   reduce to wall-time ratios. *)
+(* Three interleaved Bechamel passes, each timing every variant; a
+   variant reports the median of its three estimates, so one pass
+   disturbed by a noisy neighbour on a shared host cannot move a row.
+   The first seven keys are what scripts/perf_gate.py check_t1_vm reads.
+   Steps/run is identical across engines — the differential oracle
+   proves it — so steps/sec ratios reduce to wall-time ratios. *)
 let t1_run () =
   let tests =
     List.concat_map
@@ -227,11 +231,17 @@ let t1_run () =
         ])
       workloads
   in
-  let results = measure_tests ~quota:0.6 (Test.make_grouped ~name:"t1" tests) in
+  let grouped = Test.make_grouped ~name:"t1" tests in
+  let passes = List.init 3 (fun _ -> measure_tests ~quota:0.6 grouped) in
+  let median3 key =
+    match List.sort compare (List.map (fun r -> time_of r key) passes) with
+    | [ _; m; _ ] -> m
+    | _ -> assert false
+  in
   Json.List
     (List.map
        (fun (name, src) ->
-         let t k = time_of results ("t1/" ^ name ^ "/" ^ k) in
+         let t k = median3 ("t1/" ^ name ^ "/" ^ k) in
          let bare = t "vm-bare" and instr = t "vm-instr" in
          let logged = t "vm-logged" in
          let inline4 = t "inline4" and race = t "logged+race" in
@@ -260,11 +270,11 @@ let t1 =
     id = "t1";
     title = "T1  Execution-phase overhead of incremental tracing (paper §7: <15%)";
     note =
-      "(vm = default bytecode engine, interp = AST-walking oracle; log_ovh\n\
-      \      compares vm+log against vm+events: the cost the paper bounds at \
-       15%;\n\
-      \      the other overheads are against vm_bare; inline4 applies the\n\
-      \      paper's own \xc2\xa75.4 fix: no e-blocks for small leaves)";
+      "(vm = default bytecode engine, interp = AST-walking oracle; every time\n\
+      \      is the median of three interleaved passes; vm_instr is instrumented\n\
+      \      with no consumer (boundary events only); log_ovh compares vm+log\n\
+      \      against it, the other overheads are against vm_bare; inline4\n\
+      \      applies the paper's own \xc2\xa75.4 fix: no e-blocks for small leaves)";
     run = t1_run;
   }
 

@@ -263,12 +263,12 @@ let profile_write pout ptrace =
   | None -> ()
 
 let session_of ?engine ?loops ?(breakpoints = []) ?jobs ?ctl_config ?log_order
-    ?ckpt_every file sched steps inline =
+    ?ckpt_every ?race_sets file sched steps inline =
   let src = read_source file in
   let prog = compile_or_die src in
   Ppd.Session.of_program ?engine ~sched ~max_steps:steps
     ~policy:(policy_of ?loops inline)
-    ~breakpoints ?jobs ?ctl_config ?log_order ?ckpt_every prog
+    ~breakpoints ?jobs ?ctl_config ?log_order ?ckpt_every ?race_sets prog
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands.                                                         *)
@@ -1136,7 +1136,7 @@ let race_cmd =
         if diags <> [] then exit 3)
     end
     else begin
-      let s = session_of file sched steps 0 in
+      let s = session_of ~race_sets:true file sched steps 0 in
       let pd = Ppd.Session.pardyn s in
       let stats = Ppd.Race.detect ~algo pd in
       match format with
@@ -1349,7 +1349,9 @@ let debug_cmd =
           ~doc:"Read debugger commands from PATH instead of stdin.")
   in
   let run file sched steps inline loops breakpoints script =
-    let s = session_of ~loops ~breakpoints file sched steps inline in
+    let s =
+      session_of ~loops ~breakpoints ~race_sets:true file sched steps inline
+    in
     print_endline (Ppd.Session.explain_halt s);
     let dbg = Ppd.Debugger.create s in
     print_endline (Ppd.Debugger.eval dbg "where");

@@ -6,7 +6,7 @@
    three processes' log intervals. *)
 
 let () =
-  let session = Ppd.Session.run Workloads.fig61 in
+  let session = Ppd.Session.run ~race_sets:true Workloads.fig61 in
   Printf.printf "halt: %s\noutput: %s\n" (Ppd.Session.explain_halt session)
     (Ppd.Session.output session);
 

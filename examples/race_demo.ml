@@ -7,7 +7,7 @@
 
 let analyse name src =
   Printf.printf "=== %s ===\n" name;
-  let session = Ppd.Session.run ~sched:(Runtime.Sched.Random_seed 11) src in
+  let session = Ppd.Session.run ~race_sets:true ~sched:(Runtime.Sched.Random_seed 11) src in
   Printf.printf "%s; final balance: %s" (Ppd.Session.explain_halt session)
     (Ppd.Session.output session);
   let pd = Ppd.Session.pardyn session in

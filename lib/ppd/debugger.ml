@@ -230,9 +230,12 @@ let eval t line =
       | exception Analysis.Lint.Unknown_pass n ->
         Printf.sprintf "unknown lint pass '%s'; available: %s" n
           (String.concat ", " Analysis.Lint.pass_names))
-    | "races" :: _ ->
-      let pd = Session.pardyn t.session in
-      fmt "%a" (Race.pp_report pd) (Session.races t.session)
+    | "races" :: _ -> (
+      match Session.pardyn t.session with
+      | pd -> fmt "%a" (Race.pp_report pd) (Session.races t.session)
+      | exception Session.No_race_sets ->
+        "no access sets: the session was recorded without the race \
+         observer; try 'races static'")
     | "proto" :: _ ->
       let p = Session.prog t.session in
       fmt "%a" Analysis.Proto.pp (Analysis.Proto.analyze p)

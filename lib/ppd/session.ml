@@ -16,7 +16,7 @@ type t = {
 }
 
 let of_program ?(engine = M.Vm_engine) ?(sched = Runtime.Sched.default)
-    ?(max_steps = 1_000_000) ?policy ?(race_sets = true) ?breakpoints
+    ?(max_steps = 1_000_000) ?policy ?(race_sets = false) ?breakpoints
     ?log_sink ?(log_order = false) ?ckpt_every ?(jobs = 1) ?ctl_config prog =
   let eb = Analysis.Eblock.analyze ?policy prog in
   (* Order-tier recording (DESIGN §16) must remember how to re-execute:
@@ -105,10 +105,10 @@ let close = shutdown
 
 let closed t = t.closed
 
+exception No_race_sets
+
 let pardyn t =
-  match t.pardyn_rt with
-  | Some pd -> pd
-  | None -> Controller.pardyn (controller t)
+  match t.pardyn_rt with Some pd -> pd | None -> raise No_race_sets
 
 let races t = (Race.detect (pardyn t)).Race.races
 

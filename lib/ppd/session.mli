@@ -24,9 +24,11 @@ val run :
   string ->
   t
 (** Compile and execute MPL source with logging attached.
-    [race_sets] (default [true]) also attaches the {!Pardyn.observer}
-    so races can be detected; switch it off to measure pure logging
-    overhead. [log_sink] additionally streams every log entry out as it
+    [race_sets] (default [false]) also attaches the {!Pardyn.observer},
+    whose shared access sets {!pardyn} and {!races} need to find races.
+    The observer wants every statement event, so it costs the execution
+    phase what the logger alone skips: turn it on only where races are
+    read. [log_sink] additionally streams every log entry out as it
     is produced (e.g. a {!Store.Segment.Writer} appending the durable
     segment file). [jobs] (default [1]) sets the size of the domain
     pool the debugging phase may replay intervals on; [1] is the
@@ -88,10 +90,19 @@ val close : t -> unit
 
 val closed : t -> bool
 
+exception No_race_sets
+(** Raised by {!pardyn} and {!races} on a session recorded without
+    [~race_sets:true]. The log alone gives the graph's structure but not
+    its READ/WRITE sets, and a race check over empty sets would report
+    every run race-free. *)
+
 val pardyn : t -> Pardyn.t
-(** With access sets when [race_sets] was on; otherwise from the log. *)
+(** The parallel dynamic graph with the access sets the
+    {!Pardyn.observer} recorded. Raises {!No_race_sets} unless the
+    session was created with [~race_sets:true]. *)
 
 val races : t -> Race.race list
+(** The races of {!pardyn}; raises {!No_race_sets} likewise. *)
 
 val deadlock : t -> Deadlock.analysis
 

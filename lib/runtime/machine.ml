@@ -111,6 +111,10 @@ let proc t pid =
     raise (Interp.Fault (Printf.sprintf "no process with id %d" pid))
   else t.procs.(pid)
 
+let print_line t value =
+  Buffer.add_string t.out (Value.to_string value);
+  Buffer.add_char t.out '\n'
+
 let emit t (pr : proc) ev =
   let r = { Event.epid = pr.pid; eseq = !(pr.seq) } in
   incr pr.seq;
@@ -120,22 +124,33 @@ let emit t (pr : proc) ev =
     t.halted <- Some (Breakpoint { pid = pr.pid; sid })
   | _ -> ());
   (match ev with
-  | Event.E_stmt { kind = Event.K_print { value }; _ } ->
-    Buffer.add_string t.out (Value.to_string value);
-    Buffer.add_char t.out '\n'
+  | Event.E_stmt { kind = Event.K_print { value }; _ } -> print_line t value
   | _ -> ());
   r
 
-(* Uninstrumented fast path: account for a VM-local statement event
-   without materializing it — same seq bump and breakpoint check as
-   [emit], minus the allocation and the (nil) hook call. Every VM-local
-   event carries its own sid, so the check is exactly [emit]'s. *)
+(* Account for a local statement event without materializing it —
+   same seq bump and breakpoint check as [emit], minus the allocation
+   and the hook call no consumer wants. Every local event carries its
+   own sid, so the check is exactly [emit]'s. *)
 let fast_account t (pr : proc) sid =
   incr pr.seq;
   match t.breakpoints with
   | Some bps when t.halted = None && Analysis.Bitset.mem bps sid ->
     t.halted <- Some (Breakpoint { pid = pr.pid; sid })
   | _ -> ()
+
+(* A statement-local event (assign, predicate, print, assert) of the
+   interpreter engine. It reaches the hooks only when a consumer wants
+   statement events; otherwise it is accounted like the VM's path
+   without them: seq bump, breakpoint check, output, no hook call. *)
+let emit_local t (pr : proc) (ev : Event.stmt_event) =
+  if t.hooks.Hooks.stmts then ignore (emit t pr (Event.E_stmt ev))
+  else begin
+    fast_account t pr ev.sid;
+    match ev.kind with
+    | Event.K_print { value } -> print_line t value
+    | _ -> ()
+  end
 
 (* Bare-run driver accounting: [emit]'s seq bump, breakpoint check and
    provenance ref without materializing the event. Driver sites switch
@@ -160,12 +175,17 @@ let attach_vm t (pr : proc) =
     let stop = ref false in
     (* [emit] only ever halts the machine at a breakpoint, so without
        breakpoints the host never has to re-check [t.halted] and the
-       bare fast path reduces to the inline seq bump in the VM. *)
+       bare fast path reduces to the inline seq bump in the VM. Loop
+       boundaries are built whenever the machine is instrumented (the
+       logger closes loop e-blocks on them); statement events and
+       their read lists only when a consumer wants them. *)
+    let want = t.instrumented && t.hooks.Hooks.stmts in
     let vhost =
       match t.breakpoints with
       | None ->
         {
-          Vm.want = t.instrumented;
+          Vm.want;
+          instrumented = t.instrumented;
           emit = (fun ev -> ignore (emit t pr ev));
           fast_event = (fun _sid -> incr pr.seq);
           fast_print =
@@ -184,7 +204,8 @@ let attach_vm t (pr : proc) =
           match t.halted with Some _ -> stop := true | None -> ()
         in
         {
-          Vm.want = t.instrumented;
+          Vm.want;
+          instrumented = t.instrumented;
           emit =
             (fun ev ->
               ignore (emit t pr ev);
@@ -274,7 +295,13 @@ let create ?(engine = Vm_engine) ?(sched = Sched.default)
       chans;
       procs = [||];
       sched = Sched.create sched;
-      hooks = Hooks.nil { Hooks.read_var = (fun ~pid:_ _ -> Value.Vundef); now = (fun () -> 0) };
+      hooks =
+        Hooks.nil
+          {
+            Hooks.read_var = (fun ~pid:_ _ -> Value.Vundef);
+            now = (fun () -> 0);
+            next_seq = (fun ~pid:_ -> 0);
+          };
       max_steps;
       steps = ref 0;
       out = Buffer.create 256;
@@ -302,6 +329,7 @@ let create ?(engine = Vm_engine) ?(sched = Sched.default)
             | [] -> Value.Vundef
             | top :: _ -> (iframe top).Interp.slots.(slot)));
       now = (fun () -> !(t.steps));
+      next_seq = (fun ~pid -> !(t.procs.(pid).seq));
     }
   in
   t.hooks <- (match hooks with Some h -> h port | None -> Hooks.nil port);
@@ -748,7 +776,7 @@ let exec_driver t (pr : proc) (s : P.stmt) =
         Interp.loop_entry top s
       | Interp.Wloop _ :: _ ->
         let ev, continued = Interp.loop_test c s in
-        ignore (emit t pr (Event.E_stmt ev));
+        emit_local t pr ev;
         if not continued then
           ignore (emit t pr (Event.E_loop_exit { sid = s.sid; writes = None }))
       | [] -> assert false)
@@ -785,7 +813,7 @@ let step_proc t (pr : proc) =
       | [] -> t.current_sid <- -1);
       match Interp.step_local c with
       | Interp.Event ev ->
-        ignore (emit t pr (Event.E_stmt ev));
+        emit_local t pr ev;
         (match ev.kind with
         | Event.K_assert { ok = false } ->
           raise (Interp.Fault "assertion failed")

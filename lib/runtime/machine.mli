@@ -3,9 +3,10 @@
 
     Processes are lightweight interpreter states scheduled one event at
     a time by a {!Sched} policy; they share the global store, semaphores
-    and channels. Instrumentation ({!Hooks.factory}) observes every
-    event — this is how the "object code" of the paper emits its log,
-    and how the full tracer and race detector watch execution.
+    and channels. Instrumentation ({!Hooks.factory}) observes events —
+    the boundary events are how the "object code" of the paper emits
+    its log, and every event is how the full tracer and race detector
+    watch execution.
 
     Synchronization semantics (matching §6.2):
     - [P]/[V]: counting semaphores with token provenance — each [V]
@@ -70,7 +71,10 @@ val create :
     skips event materialization entirely — the VM takes its bare local
     fast path and the driver accounts for sync/call/return events
     without allocating them — which is the bare-execution fast path
-    benchmarked by T1. Sequence numbers, the step clock, breakpoint
+    benchmarked by T1. With [hooks] whose consumers all leave
+    {!Hooks.t.stmts} unset (the logger alone), the machine builds
+    boundary events only and skips statement events and their read
+    lists (DESIGN §15.5). Sequence numbers, the step clock, breakpoint
     checks and program output are identical either way. [breakpoints] are
     statement ids; the machine halts with {!Breakpoint} right after any
     of them produces an event — postlog-based restoration then gives

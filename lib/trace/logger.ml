@@ -32,7 +32,6 @@ type t = {
          checkpoint snapshots as its clock *)
   mutable pending_return : Runtime.Value.t option option array;
       (* per pid: a return is unwinding; loop postlogs record it *)
-  mutable seq_high : int array;  (* per pid: events emitted so far *)
   (* precomputed instrumentation tables: consulting the analyses on
      every event would dominate the execution-phase overhead (T1) *)
   sync_vars_after : Lang.Prog.var list array;  (* by sid *)
@@ -72,7 +71,6 @@ let create ?sink ?(tier = Log.T_content) ?(ckpt_every = default_ckpt_every) eb =
     logs = [| ref [] |];
     sync_count = [| 0 |];
     pending_return = [| None |];
-    seq_high = [| 0 |];
     sync_vars_after;
     entry_sync_vars;
     loop_vars;
@@ -92,9 +90,7 @@ let ensure_pid t pid =
     t.sync_count <-
       Array.init cap (fun i -> if i < n then t.sync_count.(i) else 0);
     t.pending_return <-
-      Array.init cap (fun i -> if i < n then t.pending_return.(i) else None);
-    t.seq_high <-
-      Array.init cap (fun i -> if i < n then t.seq_high.(i) else 0)
+      Array.init cap (fun i -> if i < n then t.pending_return.(i) else None)
   end
 
 (* Entries stream out to the sink the moment they are produced — the
@@ -179,9 +175,12 @@ let sync_unit_prelog t pid ~seq ~sid =
             vals = snapshot t pid vars;
           })
 
+(* Only boundary events carry log entries: statement-local events
+   (assignments, predicates, prints, asserts) are ignored when they
+   arrive — the logger does not ask for them ([stmts = false]) — so the
+   log is the same whichever other consumers share the machine. *)
 let on_event t ~pid ~seq (ev : E.t) =
   ensure_pid t pid;
-  t.seq_high.(pid) <- seq + 1;
   match ev with
   | E.E_proc_start { fid; spawn; _ } ->
     push_sync t pid
@@ -197,6 +196,7 @@ let on_event t ~pid ~seq (ev : E.t) =
             vals = snapshot t pid t.eb.Analysis.Eblock.prelog_vars.(fid);
           })
   | E.E_proc_exit { fid; result } ->
+    t.pending_return.(pid) <- None;
     push_sync t pid
       (Log.Sync
          { sid = None; seq; step_at = now t; data = Log.S_proc_exit { fid; result } });
@@ -236,6 +236,8 @@ let on_event t ~pid ~seq (ev : E.t) =
               })
     end
   | E.E_leave { fid; ret; _ } ->
+    (* the returning frame is gone: loops it unwound are closed *)
+    t.pending_return.(pid) <- None;
     if t.eb.Analysis.Eblock.is_eblock.(fid) then
       push_content t pid (fun () ->
           Log.Postlog
@@ -275,14 +277,11 @@ let on_event t ~pid ~seq (ev : E.t) =
               via_return = t.pending_return.(pid);
             }))
   | E.E_stmt { sid; kind; _ } -> (
-    (* track whether a return is currently unwinding active loops *)
-    (match kind with
-    | E.K_return { value } -> t.pending_return.(pid) <- Some value
-    | E.K_call_return _ | E.K_assign | E.K_pred _ | E.K_call _ | E.K_p _
-    | E.K_v _ | E.K_send _ | E.K_send_unblocked _ | E.K_recv _ | E.K_spawn _
-    | E.K_join _ | E.K_print _ | E.K_assert _ ->
-      if t.pending_return.(pid) <> None then t.pending_return.(pid) <- None);
     match kind with
+    | E.K_return { value } ->
+      (* a return unwinds the frame's active loops: their postlogs
+         record it, up to the frame's E_leave/E_proc_exit *)
+      t.pending_return.(pid) <- Some value
     | E.K_p _ | E.K_v _ | E.K_send _ | E.K_send_unblocked _ | E.K_recv _
     | E.K_spawn _ | E.K_join _ ->
       push_sync t pid
@@ -291,19 +290,28 @@ let on_event t ~pid ~seq (ev : E.t) =
     | E.K_call_return _ ->
       (* control resumes after the call site: new unit begins *)
       sync_unit_prelog t pid ~seq ~sid
-    | E.K_assign | E.K_pred _ | E.K_call _ | E.K_return _ | E.K_print _
-    | E.K_assert _ ->
+    | E.K_assign | E.K_pred _ | E.K_call _ | E.K_print _ | E.K_assert _ ->
       ())
 
 let factory t port =
   t.port <- Some port;
-  { Runtime.Hooks.on_event = (fun ~pid ~seq ev -> on_event t ~pid ~seq ev) }
+  {
+    Runtime.Hooks.on_event = (fun ~pid ~seq ev -> on_event t ~pid ~seq ev);
+    stmts = false;
+  }
 
 let finish t =
-  (* the arrays may carry geometric-growth slack past [t.nprocs]: trim
-     it here so neither the in-memory log nor the durable store ever
-     sees phantom processes *)
-  let stops = Array.sub t.seq_high 0 t.nprocs in
+  (* a process's stop is its event count, which the machine keeps: the
+     logger never sees the statement events it does not ask for. Only
+     the [t.nprocs] pids seen so far count — the arrays carry
+     geometric-growth slack, and neither the in-memory log nor the
+     durable store may see phantom processes. *)
+  let stops =
+    Array.init t.nprocs (fun pid ->
+        match t.port with
+        | None -> 0
+        | Some port -> port.Runtime.Hooks.next_seq ~pid)
+  in
   (match t.sink with
   | None -> ()
   | Some s -> s.sink_close ~stops:(Array.copy stops));

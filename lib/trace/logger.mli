@@ -13,6 +13,14 @@
     - [K_call_return] -> the sync-unit prelog of the unit resuming
       after the call site.
 
+    Statement-local events (assignments, predicates, prints, asserts)
+    carry no log entry, so the logger's hooks do not ask for them
+    ([stmts = false]): alone on a machine it lets the execution phase
+    skip building them, and the log is byte-identical whichever other
+    consumers share the machine. Each process's stop comes from the
+    machine's event counter ({!Runtime.Hooks.port.next_seq}), not from
+    the events the logger saw.
+
     Everything is deep-copied at snapshot time, so logs stay valid as
     execution proceeds. *)
 

@@ -1,6 +1,7 @@
 (* The interactive debugger engine (the §3.2.3 user loop). *)
 
-let dbg src = Ppd.Debugger.create (Ppd.Session.run src)
+(* like `ppd debug`, with the race observer the "races" command reads *)
+let dbg src = Ppd.Debugger.create (Ppd.Session.run ~race_sets:true src)
 
 let test_where_and_focus () =
   let d = dbg Workloads.buggy_min in

@@ -61,6 +61,78 @@ let test_determinism () =
   Alcotest.(check string) "same output" o1 o2;
   Alcotest.(check bool) "same event stream" true (e1 = e2)
 
+(* A consumer that does not want statement events receives none of the
+   local ones (assign, predicate, print, assert), and everything else
+   exactly as a full consumer does; the machine still counts the
+   skipped ones, so its port's [next_seq] equals the per-process event
+   counts the full consumer saw. *)
+let test_boundary_consumer () =
+  let src =
+    {|shared int g = 0;
+sem s = 1;
+func w(n) {
+  var i = 0;
+  while (i < n) { P(s); g = g + i; V(s); i = i + 1; }
+  assert(g >= 0);
+  return i;
+}
+func main() {
+  var a = spawn w(3);
+  var b = spawn w(4);
+  var x = join(a);
+  var y = join(b);
+  if (x < y) { print(g); }
+}
+|}
+  in
+  let local = function
+    | Runtime.Event.E_stmt
+        {
+          kind =
+            ( Runtime.Event.K_assign | Runtime.Event.K_pred _
+            | Runtime.Event.K_print _ | Runtime.Event.K_assert _ );
+          _;
+        } ->
+      true
+    | _ -> false
+  in
+  List.iter
+    (fun engine ->
+      let prog = Util.compile src in
+      let sched = Runtime.Sched.Random_seed 7 in
+      let seen = ref [] and port = ref None in
+      let boundary p =
+        port := Some p;
+        {
+          Runtime.Hooks.on_event =
+            (fun ~pid ~seq ev -> seen := (pid, seq, ev) :: !seen);
+          stmts = false;
+        }
+      in
+      let m = M.create ~engine ~sched ~hooks:boundary prog in
+      ignore (M.run m);
+      let full = ref [] in
+      let m' = M.create ~engine ~sched ~hooks:(Runtime.Hooks.collect full) prog in
+      ignore (M.run m');
+      let show l = List.rev_map (fun (p, s, e) -> (p, s, Util.event_str e)) l in
+      Alcotest.(check int) "no local statement event" 0
+        (List.length (List.filter (fun (_, _, e) -> local e) !seen));
+      Alcotest.(check (list (triple int int string)))
+        "every other event, as the full consumer saw it"
+        (show (List.filter (fun (_, _, e) -> not (local e)) !full))
+        (show !seen);
+      Alcotest.(check string) "same output" (M.output m') (M.output m);
+      let next_seq = (Option.get !port).Runtime.Hooks.next_seq in
+      for pid = 0 to M.nprocs m' - 1 do
+        let count =
+          List.length (List.filter (fun (p, _, _) -> p = pid) !full)
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "p%d event count" pid)
+          count (next_seq ~pid)
+      done)
+    [ M.Vm_engine; M.Interp_engine ]
+
 let test_schedules_differ () =
   (* the racy counter loses updates under some interleavings *)
   let src = Workloads.counter ~workers:2 ~incs:40 ~mutex:false in
@@ -355,6 +427,7 @@ let suite =
       Alcotest.test_case "join result" `Quick test_join_result;
       Alcotest.test_case "seeded determinism" `Quick test_determinism;
       Alcotest.test_case "schedules can differ" `Quick test_schedules_differ;
+      Alcotest.test_case "boundary-only consumer" `Quick test_boundary_consumer;
       Alcotest.test_case "semaphore counting" `Quick test_sem_counting;
       Alcotest.test_case "mutual exclusion" `Quick test_sem_mutual_exclusion;
       Alcotest.test_case "channel FIFO" `Quick test_channel_fifo;

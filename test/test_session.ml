@@ -4,13 +4,30 @@
 module P = Lang.Prog
 
 let test_session_surface () =
-  let s = Ppd.Session.run Workloads.fixed_bank in
+  let s = Ppd.Session.run ~race_sets:true Workloads.fixed_bank in
   Alcotest.(check string) "output" "20\n" (Ppd.Session.output s);
   Alcotest.(check bool) "halt" true (Ppd.Session.halt s = Runtime.Machine.Finished);
   Alcotest.(check (list int)) "no races" []
     (List.map (fun r -> r.Ppd.Race.rc_edge1) (Ppd.Session.races s));
   Alcotest.(check bool) "explain mentions finished" true
     (Util.contains ~sub:"finished" (Ppd.Session.explain_halt s))
+
+(* Without the race observer the graph has no access sets, so a session
+   must refuse to answer a race query rather than call racy_bank
+   race-free; the debugger says so instead of printing a report. *)
+let test_races_need_observer () =
+  let s = Ppd.Session.run Workloads.racy_bank in
+  Alcotest.check_raises "races" Ppd.Session.No_race_sets (fun () ->
+      ignore (Ppd.Session.races s));
+  Alcotest.check_raises "pardyn" Ppd.Session.No_race_sets (fun () ->
+      ignore (Ppd.Session.pardyn s));
+  let out = Ppd.Debugger.eval (Ppd.Debugger.create s) "races" in
+  Alcotest.(check bool) "debugger refuses" true
+    (Util.contains ~sub:"no access sets" out
+    && not (Util.contains ~sub:"race-free" out));
+  let s' = Ppd.Session.run ~race_sets:true Workloads.racy_bank in
+  Alcotest.(check bool) "observer finds the race" true
+    (Ppd.Session.races s' <> [])
 
 (* Every dynamic read/write observed inside an interval must be inside
    the block's static USED/DEFINED sets — the soundness condition that
@@ -126,6 +143,8 @@ let suite =
   ( "session",
     [
       Alcotest.test_case "surface" `Quick test_session_surface;
+      Alcotest.test_case "races need the observer" `Quick
+        test_races_need_observer;
       Alcotest.test_case "USED/DEFINED sound (fixed corpus)" `Quick
         test_soundness_fixed;
       soundness_prop;

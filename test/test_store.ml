@@ -74,6 +74,137 @@ let test_streamed_equals_memory () =
       Alcotest.(check bool) "index intact" true r.S.fk_indexed;
       Alcotest.(check bool) "no damage" true r.S.fk_clean)
 
+(* -------------------------------------------------------------- *)
+(* The log does not depend on the consumer set *)
+
+(* Stream one logged run to a segment and return its halt and bytes.
+   With [trace] the full tracer shares the machine: it wants every
+   statement event, so the machine builds them all; without it the
+   logger is alone and the machine builds boundary events only. *)
+let segment_bytes ~trace ~engine ~tier ~policy ~sched ~max_steps src =
+  let prog = Util.compile src in
+  let eb = Analysis.Eblock.analyze ~policy prog in
+  with_tmp (fun path ->
+      let w = S.Writer.to_file ~tier path in
+      let logger =
+        Trace.Logger.create ~sink:(S.Writer.sink w) ~tier ~ckpt_every:16 eb
+      in
+      let hooks =
+        if trace then
+          Runtime.Hooks.both
+            (Trace.Logger.factory logger)
+            (Trace.Full_trace.factory (Trace.Full_trace.create ()))
+        else Trace.Logger.factory logger
+      in
+      let m = Runtime.Machine.create ~engine ~sched ~max_steps ~hooks prog in
+      let halt = Runtime.Machine.run m in
+      ignore (Trace.Logger.finish logger);
+      S.Writer.close w;
+      (halt, In_channel.with_open_bin path In_channel.input_all))
+
+
+(* Both engines x both tiers x default and loop e-blocks: the logger
+   alone must stream exactly the bytes it streams beside the full
+   tracer. Returns the halts seen, for coverage checks. *)
+let logs_agree ?(sched = Runtime.Sched.default) ?(max_steps = 200_000) name
+    src =
+  List.concat_map
+    (fun (engine, engine_name) ->
+      let order =
+        L.T_order
+          {
+            L.o_sched = Runtime.Sched.string_of_policy sched;
+            o_engine = engine_name;
+            o_max_steps = max_steps;
+          }
+      in
+      List.concat_map
+        (fun tier ->
+          List.map
+            (fun loops ->
+              let policy =
+                {
+                  Analysis.Eblock.leaf_inline_max_stmts = 0;
+                  loop_block_min_body = loops;
+                }
+              in
+              let run trace =
+                segment_bytes ~trace ~engine ~tier ~policy ~sched ~max_steps
+                  src
+              in
+              let h1, alone = run false and h2, shared = run true in
+              if h1 <> h2 then
+                Alcotest.failf "%s: halts differ: %s vs %s" name
+                  (Util.halt_name h1) (Util.halt_name h2);
+              if alone <> shared then
+                Alcotest.failf
+                  "%s (%s engine, %s tier, loops %d): logger alone wrote \
+                   %d bytes, beside the full tracer %d"
+                  name engine_name (L.tier_name tier) loops (String.length alone)
+                  (String.length shared);
+              h1)
+            [ 0; 1 ])
+        [ L.T_content; order ])
+    [ (Runtime.Machine.Vm_engine, "vm"); (Runtime.Machine.Interp_engine, "interp") ]
+
+(* Insert [text] before worker w0's return: the first top-level return
+   of a [Gen.parallel] program, whose workers never return early. *)
+let before_w0_return text src =
+  let anchor = "\n  return " in
+  let n = String.length anchor in
+  let rec find i =
+    if String.sub src i n = anchor then i + 1 else find (i + 1)
+  in
+  let k = find 0 in
+  String.sub src 0 k ^ text ^ String.sub src k (String.length src - k)
+
+(* Each random parallel program also runs cut short by the step
+   budget, with worker w0 failing an assert as it finishes (the other
+   workers mid-flight), and with w0 taking the only mutex token twice
+   (a deadlock): the halts whose stops the logger cannot infer from
+   the events it sees. *)
+let consumer_set_prop =
+  Util.qtest ~count:12 "random parallel programs: log = log beside full trace"
+    QCheck2.Gen.(triple (int_range 0 100_000) (int_range 0 1000) (int_range 1 120))
+    (fun (seed, sseed, cut) ->
+      let sched = Runtime.Sched.Random_seed sseed in
+      let src = Gen.parallel ~protect:`Sometimes seed in
+      ignore (logs_agree ~sched "plain" src);
+      ignore (logs_agree ~sched ~max_steps:cut "cut" src);
+      let fault =
+        logs_agree ~sched "fault" (before_w0_return "  assert(1 == 2);\n" src)
+      in
+      let dead =
+        logs_agree ~sched "deadlock"
+          (before_w0_return "  P(gmutex);\n  P(gmutex);\n" src)
+      in
+      List.for_all
+        (function Runtime.Machine.Fault _ -> true | _ -> false)
+        fault
+      && List.for_all
+           (function Runtime.Machine.Deadlock _ -> true | _ -> false)
+           dead)
+
+(* The fixed corpus, plus a return out of a loop e-block: its postlog
+   records the unwinding return ([via_return]), which the logger must
+   track from boundary events alone. *)
+let test_consumer_set_fixed () =
+  let loop_return =
+    {|func find(n) {
+  var i = 0;
+  while (i < n) {
+    if (i == 3) { return i; }
+    i = i + 1;
+  }
+  return 0 - 1;
+}
+func main() { var r = find(10); print(r); var s = find(2); print(s); }
+|}
+  in
+  List.iter
+    (fun (name, src) -> ignore (logs_agree name src))
+    (("loop_return", loop_return) :: Workloads.all_fixed)
+
 let test_measure_matches_disk () =
   (* encoded_size must report the exact on-disk byte count *)
   let _eb, log = run_log (Workloads.counter ~workers:2 ~incs:5 ~mutex:true) in
@@ -394,6 +525,9 @@ let suite =
         test_streamed_equals_memory;
       Alcotest.test_case "v1 magic refused by every loader" `Quick
         test_v1_refused;
+      consumer_set_prop;
+      Alcotest.test_case "log = log beside full trace (corpus)" `Quick
+        test_consumer_set_fixed;
       Alcotest.test_case "measure matches disk size" `Quick
         test_measure_matches_disk;
       Alcotest.test_case "truncation salvages longest prefix" `Quick
