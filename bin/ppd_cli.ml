@@ -92,10 +92,9 @@ let jobs_arg =
     & opt int 0
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Size of the domain pool the debugging phase replays log \
-           intervals on (default: the machine's core count). $(b,-j 1) \
-           is the serial path; every pool size produces byte-identical \
-           output.")
+          "Size of the domain pool the daemon's batch replays run on \
+           (default: the machine's core count). $(b,-j 1) is the serial \
+           path; every pool size produces byte-identical answers.")
 
 (* 0 (the cmdliner default) means "the machine decides". *)
 let resolve_jobs j = if j <= 0 then Exec.Pool.default_jobs () else j
@@ -262,13 +261,13 @@ let profile_write pout ptrace =
     Printf.printf "trace written to %s\n" path
   | None -> ()
 
-let session_of ?engine ?loops ?(breakpoints = []) ?jobs ?ctl_config ?log_order
+let session_of ?engine ?loops ?(breakpoints = []) ?ctl_config ?log_order
     ?ckpt_every ?race_sets file sched steps inline =
   let src = read_source file in
   let prog = compile_or_die src in
   Ppd.Session.of_program ?engine ~sched ~max_steps:steps
     ~policy:(policy_of ?loops inline)
-    ~breakpoints ?jobs ?ctl_config ?log_order ?ckpt_every ?race_sets prog
+    ~breakpoints ?ctl_config ?log_order ?ckpt_every ?race_sets prog
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands.                                                         *)
@@ -437,22 +436,16 @@ let die_divergence ~reason =
    watchdog is PPD060/exit 7, a damaged log is PPD050/exit 6, a
    diverged order-log reconstruction is PPD061/exit 8 and an
    injected fault that survives the retry budget is a run fault
-   (exit 2) — never a bare uncaught exception. [cleanup] joins any
-   pool domains before the process exits. *)
-let debugging ~cleanup f =
+   (exit 2) — never a bare uncaught exception. *)
+let debugging f =
   match Obs.phase "debugging" f with
   | v -> v
   | exception Ppd.Controller.Replay_overrun { pid; iv_id; budget } ->
-    cleanup ();
     die_overrun ~pid ~iv_id ~budget
-  | exception Ppd.Reconstruct.Divergence { reason } ->
-    cleanup ();
-    die_divergence ~reason
+  | exception Ppd.Reconstruct.Divergence { reason } -> die_divergence ~reason
   | exception Store.Segment.Unreadable { path; reason } ->
-    cleanup ();
     die_unreadable ~path ~reason
   | exception Fault.Injected { site; kind } ->
-    cleanup ();
     Format.eprintf "ppd: injected %s fault at %s aborted the debugging phase \
                     (use --degraded to continue around it)@."
       (Fault.kind_to_string kind) site;
@@ -461,8 +454,8 @@ let debugging ~cleanup f =
 (* The --load path of flowback and replay: analyse the program, open
    the saved log (PPD050 and exit 6 when unreadable), print the header,
    then run [body ~nprocs ctl] inside [debugging] over a controller on
-   the open reader, with a pool when -j > 1. *)
-let with_loaded_log ~file ~loops ~inline ~jobs ~config logpath body =
+   the open reader. *)
+let with_loaded_log ~file ~loops ~inline ~config logpath body =
   let prog = compile_or_die (read_source file) in
   let eb = Analysis.Eblock.analyze ~policy:(policy_of ~loops inline) prog in
   match Store.Segment.open_file logpath with
@@ -473,16 +466,10 @@ let with_loaded_log ~file ~loops ~inline ~jobs ~config logpath body =
     Serve.Render.header
       (Serve.Render.stdout_sink ())
       ~path:logpath ~version:(Store.Segment.version r) ~nprocs;
-    let jobs = resolve_jobs jobs in
-    let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in
-    let cleanup () =
-      match pool with Some p -> Exec.Pool.shutdown p | None -> ()
-    in
     (* inside [debugging]: an order-tier log reconstructs here, and a
        divergence must render as PPD061, not an uncaught raise *)
-    debugging ~cleanup (fun () ->
-        body ~nprocs (Ppd.Controller.start_paged ?pool ~config eb r));
-    cleanup ()
+    debugging (fun () ->
+        body ~nprocs (Ppd.Controller.start_paged ~config eb r))
 
 let log_path_arg =
   Arg.(
@@ -834,31 +821,23 @@ let flowback_cmd =
     Serve.Render.flowback_report (Serve.Render.stdout_sink ()) ~depth ~dot ctl
       root
   in
-  let run file sched steps engine inline loops depth dot jobs degraded max_rs
-      order ckpt_every faults fseed load pout ptrace =
+  let run file sched steps engine inline loops depth dot degraded max_rs order
+      ckpt_every faults fseed load pout ptrace =
     profile_setup pout ptrace;
     arm_faults faults fseed;
     let config = ctl_config_of degraded max_rs in
     (match load with
     | None ->
       let s =
-        session_of ~engine ~loops ~jobs:(resolve_jobs jobs) ~ctl_config:config
-          ~log_order:order ~ckpt_every file sched steps inline
+        session_of ~engine ~loops ~ctl_config:config ~log_order:order
+          ~ckpt_every file sched steps inline
       in
       print_endline (Ppd.Session.explain_halt s);
-      debugging
-        ~cleanup:(fun () -> Ppd.Session.shutdown s)
-        (fun () ->
+      debugging (fun () ->
           let root = Ppd.Session.error_node s in
-          let ctl = Ppd.Session.controller s in
-          (* eager mode: the query pinned the halt interval; speculatively
-             replay its dependence frontier on the idle pool domains while
-             the explanation walks the graph (a no-op at -j1) *)
-          if root <> None then ignore (Ppd.Controller.prefetch ctl);
-          report ~depth ~dot ctl root);
-      Ppd.Session.shutdown s
+          report ~depth ~dot (Ppd.Session.controller s) root)
     | Some logpath ->
-      with_loaded_log ~file ~loops ~inline ~jobs ~config logpath
+      with_loaded_log ~file ~loops ~inline ~config logpath
         (fun ~nprocs ctl ->
           let root =
             if nprocs = 0 then None
@@ -875,7 +854,7 @@ let flowback_cmd =
           graph.")
     Term.(
       const run $ file_arg $ sched_arg $ steps_arg $ engine_arg $ inline_arg
-      $ loops_arg $ depth_arg $ dot_arg $ jobs_arg $ degraded_arg
+      $ loops_arg $ depth_arg $ dot_arg $ degraded_arg
       $ replay_steps_arg $ log_mode_arg $ ckpt_every_arg $ fault_arg
       $ fault_seed_arg $ load_arg $ profile_out_arg $ profile_trace_arg)
 
@@ -892,7 +871,7 @@ let replay_cmd =
   let rebuild ~dump ~nprocs ctl =
     Serve.Render.replay_report (Serve.Render.stdout_sink ()) ~dump ~nprocs ctl
   in
-  let run file sched steps engine inline loops jobs dump degraded max_rs order
+  let run file sched steps engine inline loops dump degraded max_rs order
       ckpt_every faults fseed load pout ptrace =
     profile_setup pout ptrace;
     arm_faults faults fseed;
@@ -900,19 +879,15 @@ let replay_cmd =
     (match load with
     | None ->
       let s =
-        session_of ~engine ~loops ~jobs:(resolve_jobs jobs) ~ctl_config:config
-          ~log_order:order ~ckpt_every file sched steps inline
+        session_of ~engine ~loops ~ctl_config:config ~log_order:order
+          ~ckpt_every file sched steps inline
       in
       print_endline (Ppd.Session.explain_halt s);
-      debugging
-        ~cleanup:(fun () -> Ppd.Session.shutdown s)
-        (fun () ->
-          let ctl = Ppd.Session.controller s in
-          let log = Ppd.Session.log s in
-          rebuild ~dump ~nprocs:log.Trace.Log.nprocs ctl);
-      Ppd.Session.shutdown s
+      debugging (fun () ->
+          rebuild ~dump ~nprocs:(Ppd.Session.log s).Trace.Log.nprocs
+            (Ppd.Session.controller s))
     | Some logpath ->
-      with_loaded_log ~file ~loops ~inline ~jobs ~config logpath
+      with_loaded_log ~file ~loops ~inline ~config logpath
         (fun ~nprocs ctl -> rebuild ~dump ~nprocs ctl));
     profile_write pout ptrace
   in
@@ -920,12 +895,11 @@ let replay_cmd =
     (Cmd.info "replay"
        ~doc:
          "Run the program (or $(b,--load) a saved log), then \
-          batch-emulate every log interval (across the domain pool \
-          with -j > 1) and assemble the full dynamic dependence graph. \
-          Output is byte-identical for every -j value.")
+          batch-emulate every log interval and assemble the full \
+          dynamic dependence graph.")
     Term.(
       const run $ file_arg $ sched_arg $ steps_arg $ engine_arg $ inline_arg
-      $ loops_arg $ jobs_arg $ dump_arg $ degraded_arg $ replay_steps_arg
+      $ loops_arg $ dump_arg $ degraded_arg $ replay_steps_arg
       $ log_mode_arg $ ckpt_every_arg $ fault_arg $ fault_seed_arg $ load_arg
       $ profile_out_arg $ profile_trace_arg)
 

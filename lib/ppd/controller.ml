@@ -56,9 +56,9 @@ type t = {
   ivs : L.interval array array;  (* per pid *)
   outcomes : (int * int, Emulator.outcome) Hashtbl.t;
       (* intervals whose fragment is in the graph *)
-  mutable pool : Exec.Pool.t option;
-      (* None = the bit-identical serial path; {!detach_pool} drops a
-         shut-down pool so later queries fall back to serial replay *)
+  pool : Exec.Pool.t option;
+      (* None = the bit-identical serial path; only
+         [build_intervals_par] submits work to it *)
   shared : Fragcache.t option;
       (* cross-controller fragment cache (one per log identity in the
          `ppd serve` registry); clean outcomes are published here and
@@ -67,26 +67,9 @@ type t = {
       (* tier of the *original* source ("content"/"order") — the shared
          cache key prefix, so outcomes derived from a reconstructed
          order log never mix with directly-recorded ones *)
-  frag_lock : Mutex.t;
-  frags : (int * int, Emulator.outcome) Hashtbl.t;
-      (* raw replay outcomes produced by pool workers (batch or
-         speculative), not yet assembled into the graph; every access
-         goes through [frag_lock] *)
-  inflight : (int * int, Emulator.outcome Exec.Pool.future) Hashtbl.t;
-      (* submitted to the pool, result not yet collected; main-domain
-         state, so no lock *)
   mutable pending : (E.eref * int) list;
   mutable replays : int;
   mutable replay_steps : int;
-  mutable spec_steps : int;
-      (* replay work charged against the watchdog budget that
-         [replay_steps] does not see: steps burned by speculative
-         prefetch replays (awaited in {!prefetch}) and by overrun
-         attempts (which never assemble). [prefetch] stops submitting
-         once [replay_steps + spec_steps] reaches the budget, so a
-         [--degraded] run cannot keep burning budget-sized replays
-         silently. *)
-  mutable prefetched : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
   config : config;
@@ -98,7 +81,6 @@ type stats = {
   replays : int;
   replay_steps : int;
   intervals_total : int;
-  prefetched : int;
   cache_hits : int;
   cache_misses : int;
   holes : int;
@@ -106,15 +88,14 @@ type stats = {
 }
 
 (* Debugging-phase counters (no-ops until [Obs.enable]). A cache
-   "lookup" is one [build_interval] assembly request; it "hits" when
-   the outcome already exists (assembled, speculative fragment, or in
-   flight on the pool) and "misses" when a serial replay is forced —
-   exactly one of the two per lookup, so hits + misses = lookups. *)
+   "lookup" is one interval assembly request; it "hits" when the
+   outcome already exists (assembled, a batch replay's future on the
+   pool, or the shared cache) and "misses" when a serial replay is
+   forced — exactly one of the two per lookup, so hits + misses =
+   lookups. *)
 let c_replays = Obs.counter "ppd.controller.replays"
 
 let c_replay_steps = Obs.counter "ppd.controller.replay_steps"
-
-let c_prefetched = Obs.counter "ppd.controller.prefetched"
 
 let c_lookups = Obs.counter "ppd.controller.cache.lookups"
 
@@ -153,14 +134,9 @@ let start_paged ?pool ?shared ?(config = default_config) eb src =
     pool;
     shared;
     src_tier;
-    frag_lock = Mutex.create ();
-    frags = Hashtbl.create 16;
-    inflight = Hashtbl.create 16;
     pending = [];
     replays = 0;
     replay_steps = 0;
-    spec_steps = 0;
-    prefetched = 0;
     cache_hits = 0;
     cache_misses = 0;
     config;
@@ -170,13 +146,6 @@ let start_paged ?pool ?shared ?(config = default_config) eb src =
 
 let start ?pool ?shared ?config eb log =
   start_paged ?pool ?shared ?config eb (Seg.of_log log)
-
-(* Forget the pool: later queries replay serially on the calling
-   domain. In-flight futures stay consumable (a shut-down pool has
-   drained every queued task, so they are already resolved); only new
-   submissions stop. This is what lets a {!Session} answer queries
-   after its pool was shut down instead of raising. *)
-let detach_pool t = t.pool <- None
 
 (* The log slice an interval's emulation touches: entries
    [iv_prelog - 1 .. iv_postlog] (the preceding sync record through the
@@ -232,47 +201,6 @@ let shared_mem t (pid, iv_id) =
   match t.shared with
   | None -> false
   | Some sh -> Fragcache.mem sh (t.src_tier, pid, iv_id)
-
-(* Fetch (and drop) a worker-produced fragment, if one landed. *)
-let take_frag t key =
-  Mutex.lock t.frag_lock;
-  let o = Hashtbl.find_opt t.frags key in
-  if o <> None then Hashtbl.remove t.frags key;
-  Mutex.unlock t.frag_lock;
-  o
-
-(* Speculatively replay [iv] on the pool; the raw outcome lands in the
-   lock-protected fragment cache. Returns whether a task was submitted
-   (false without a pool, or when the interval is already assembled,
-   cached, or in flight). *)
-let submit_replay t (iv : L.interval) =
-  match t.pool with
-  | None -> false
-  | Some pool ->
-    let key = (iv.L.iv_pid, iv.L.iv_id) in
-    let cached =
-      Mutex.lock t.frag_lock;
-      let c = Hashtbl.mem t.frags key in
-      Mutex.unlock t.frag_lock;
-      c
-    in
-    if
-      Hashtbl.mem t.outcomes key
-      || Hashtbl.mem t.inflight key
-      || cached || shared_mem t key
-    then false
-    else begin
-      let fut =
-        Exec.Pool.submit pool (fun () ->
-            let o = replay_outcome t iv in
-            Mutex.lock t.frag_lock;
-            Hashtbl.replace t.frags key o;
-            Mutex.unlock t.frag_lock;
-            o)
-      in
-      Hashtbl.replace t.inflight key fut;
-      true
-    end
 
 (* An inert outcome standing in for an interval we could not replay:
    no events means no nodes, so downstream resolution simply fails to
@@ -346,7 +274,11 @@ let reason_of_failure = function
   | Emulator.Replay_mismatch m -> Printf.sprintf "replay diverged: %s" m
   | e -> Printexc.to_string e
 
-let build_interval (t : t) ~pid ~iv_id =
+(* Assemble an interval into the graph. [fut], when given, is the
+   batch replay [build_intervals_par] already submitted to the pool for
+   it: awaiting it is the first attempt, and a transient failure there
+   is retried serially like any other. *)
+let assemble_interval ?fut (t : t) ~pid ~iv_id =
   (* the e-block boundary is the deadline propagation point: a query
      that expires mid-flowback stops before the next replay instead of
      holding its slot to completion (DESIGN §17) *)
@@ -364,26 +296,19 @@ let build_interval (t : t) ~pid ~iv_id =
   | None ->
     let iv = t.ivs.(pid).(iv_id) in
     let acquire () =
-      match take_frag t key with
-      | Some o ->
+      match fut with
+      | Some f ->
         hit ();
-        o
+        Exec.Pool.await f
       | None -> (
-        match Hashtbl.find_opt t.inflight key with
-        | Some fut ->
+        match shared_find t key with
+        | Some o ->
           hit ();
-          let o = Exec.Pool.await fut in
-          ignore (take_frag t key);
           o
-        | None -> (
-          match shared_find t key with
-          | Some o ->
-            hit ();
-            o
-          | None ->
-            Obs.incr c_misses;
-            t.cache_misses <- t.cache_misses + 1;
-            replay_outcome t iv))
+        | None ->
+          Obs.incr c_misses;
+          t.cache_misses <- t.cache_misses + 1;
+          replay_outcome t iv)
     in
     let is_hole = ref false in
     let hole reason =
@@ -394,10 +319,6 @@ let build_interval (t : t) ~pid ~iv_id =
       match with_retries t iv acquire with
       | o ->
         if o.Emulator.overrun then begin
-          (* the attempt burned its whole budget before the watchdog
-             tripped; charge that work so eager speculation cannot keep
-             launching budget-sized replays after the cap is blown *)
-          t.spec_steps <- t.spec_steps + o.Emulator.steps;
           if t.config.degraded then hole "replay step budget exhausted"
           else
             raise
@@ -410,7 +331,6 @@ let build_interval (t : t) ~pid ~iv_id =
         when t.config.degraded ->
         hole (reason_of_failure e)
     in
-    Hashtbl.remove t.inflight key;
     if !is_hole then begin
       (* a hole: nothing to assemble, and it does not count as a replay *)
       Hashtbl.replace t.outcomes key outcome;
@@ -439,19 +359,34 @@ let build_interval (t : t) ~pid ~iv_id =
       outcome
     end
 
-(* Batch-emulate a set of intervals: submit every missing one to the
-   pool, then assemble in list order on this domain. Without a pool
-   this degenerates to the serial loop and builds the same graph. *)
+let build_interval t ~pid ~iv_id = assemble_interval t ~pid ~iv_id
+
+(* Batch-emulate a set of intervals: submit to the pool every interval
+   that is neither assembled nor in the shared cache, then assemble in
+   list order on this domain, each from its own future. Without a pool
+   this is the serial loop and builds the same graph. *)
 let build_intervals_par t keys =
+  let futs = Hashtbl.create 16 in
   (match t.pool with
   | None -> ()
-  | Some _ ->
+  | Some pool ->
     List.iter
-      (fun (pid, iv_id) ->
-        if not (Hashtbl.mem t.outcomes (pid, iv_id)) then
-          ignore (submit_replay t t.ivs.(pid).(iv_id)))
+      (fun ((pid, iv_id) as key) ->
+        if
+          not
+            (Hashtbl.mem t.outcomes key || Hashtbl.mem futs key
+           || shared_mem t key)
+        then
+          let iv = t.ivs.(pid).(iv_id) in
+          Hashtbl.replace futs key
+            (Exec.Pool.submit pool (fun () -> replay_outcome t iv)))
       keys);
-  List.iter (fun (pid, iv_id) -> ignore (build_interval t ~pid ~iv_id)) keys
+  List.iter
+    (fun ((pid, iv_id) as key) ->
+      let fut = Hashtbl.find_opt futs key in
+      Hashtbl.remove futs key;
+      ignore (assemble_interval ?fut t ~pid ~iv_id))
+    keys
 
 let enclosing_interval t (r : E.eref) =
   L.find_enclosing t.ivs.(r.epid) ~seq:r.eseq
@@ -721,87 +656,6 @@ let resolve_external t node_id =
       else resolve_param t node_id iv)
   | _ -> None
 
-(* Eager mode: after a query pins an interval, speculatively emulate
-   its dependence frontier on idle domains — the source intervals of
-   pending sync links (the partner fragments a [why] on a sync node
-   will need), and for each unresolved external the intervals its
-   resolution would emulate: parent or spawner for parameters, the
-   DEFINED-set shared-write candidates (§6.3) for globals, most recent
-   first. Purely speculative: only raw outcomes are produced, into the
-   fragment cache; the graph is untouched, so query results stay
-   deterministic. Returns the number of replays submitted. *)
-let prefetch ?(max_candidates = 8) t =
-  match t.pool with
-  | None -> 0
-  | Some _ ->
-    let n = ref 0 in
-    let submitted = ref [] in
-    (* Speculative replays are charged against the same watchdog budget
-       as demand replays (PPD060): once the charged account — assembled
-       work plus earlier speculation and overrun attempts — reaches
-       [max_replay_steps], eager mode submits nothing more. Without the
-       charge, a [--degraded] run with a tight budget would keep
-       launching budget-sized speculative replays, silently exceeding
-       the cap it was asked to respect. *)
-    let spec iv =
-      if
-        t.replay_steps + t.spec_steps < t.config.max_replay_steps
-        && submit_replay t iv
-      then begin
-        incr n;
-        submitted := (iv.L.iv_pid, iv.L.iv_id) :: !submitted
-      end
-    in
-    List.iter
-      (fun ((src : E.eref), _) ->
-        match enclosing_interval t src with
-        | Some iv -> spec iv
-        | None -> ())
-      t.pending;
-    List.iter
-      (fun (node_id, (var : P.var)) ->
-        match interval_of_node t node_id with
-        | None -> ()
-        | Some (reader, iv) ->
-          if P.is_global var then begin
-            let read_step =
-              Seg.snapshot_step t.src ~pid:iv.L.iv_pid ~reader_seq:reader.E.eseq
-            in
-            let cands =
-              shared_write_candidates t ~vid:var.P.vid ~read_step
-                ~reading_iv:iv
-            in
-            List.iteri (fun i c -> if i < max_candidates then spec c) cands
-          end
-          else
-            (match iv.L.iv_parent with
-            | Some parent_id -> spec t.ivs.(iv.L.iv_pid).(parent_id)
-            | None -> (
-              match spawner_ref t iv with
-              | Some r -> (
-                match enclosing_interval t r with
-                | Some siv -> spec siv
-                | None -> ())
-              | None -> ())))
-      (Dyn_graph.externals t.g);
-    (* Collect and charge the speculative work before returning, in
-       submission order, so the account (and thus later submission
-       decisions) is identical across [-jN]. A failed task charges
-       nothing here — its exception is still delivered, with retries,
-       when the interval is assembled. *)
-    List.iter
-      (fun key ->
-        match Hashtbl.find_opt t.inflight key with
-        | None -> ()
-        | Some fut -> (
-          match Exec.Pool.await fut with
-          | o -> t.spec_steps <- t.spec_steps + o.Emulator.steps
-          | exception _ -> ()))
-      (List.rev !submitted);
-    t.prefetched <- t.prefetched + !n;
-    Obs.add c_prefetched !n;
-    !n
-
 let why t node_id =
   (* build partner fragments for pending sync links into this node *)
   List.iter
@@ -824,7 +678,6 @@ let stats (t : t) =
     replays = t.replays;
     replay_steps = t.replay_steps;
     intervals_total = Array.fold_left (fun a ivs -> a + Array.length ivs) 0 t.ivs;
-    prefetched = t.prefetched;
     cache_hits = t.cache_hits;
     cache_misses = t.cache_misses;
     holes = List.length t.holes_rev;

@@ -31,8 +31,8 @@ type config = {
       (** map damaged/unreplayable intervals to explicit hole nodes
           instead of raising *)
   retries : int;
-      (** serial re-attempts of a transiently-failed pool replay before
-          a hole is declared (default 2) *)
+      (** serial re-attempts of a transiently-failed replay before a
+          hole is declared (default 2) *)
   max_replay_steps : int;
       (** the runaway-replay watchdog budget per interval (default
           1_000_000) *)
@@ -75,10 +75,14 @@ val start_paged :
 (** Debug over a log reader, the controller's only log source. Over an
     open segment file, interval structure comes from the footer index,
     and only the intervals a query touches are ever decoded (through
-    the reader's window LRU). With [pool], interval emulation
-    can run on the pool's domains ({!build_intervals_par},
-    {!prefetch}); graph assembly stays on the querying domain, so the
-    resulting graph is byte-identical to the serial one. With [shared],
+    the reader's window LRU). With [pool], {!build_intervals_par}
+    runs its interval emulations on the pool's domains; graph assembly
+    stays on the querying domain, so the resulting graph is
+    byte-identical to the serial one. Every other query replays
+    serially on the calling domain. Only the `ppd serve` daemon passes a
+    pool: it keeps one for its lifetime, while a one-shot CLI query
+    would pay more to start and join domains than its replays cost.
+    With [shared],
     raw replay outcomes are exchanged with every other controller bound
     to the same {!Fragcache} (the `ppd serve` registry keeps one per
     opened log): clean outcomes are published after assembly and the
@@ -103,11 +107,6 @@ val start :
     {!Store.Segment.of_log}. Flowback answers are identical to
     {!start_paged} over a saved segment of the same execution. *)
 
-val detach_pool : t -> unit
-(** Forget the pool: subsequent queries replay serially on the calling
-    domain instead of raising on a shut-down pool. Used by
-    {!Session.close} so a closed session stays queryable. *)
-
 val holes : t -> hole list
 (** Holes declared so far, in assembly order (deterministic across
     [-jN]). Empty unless running with [config.degraded]. *)
@@ -122,32 +121,16 @@ val intervals : t -> pid:int -> Trace.Log.interval array
 
 val build_interval : t -> pid:int -> iv_id:int -> Emulator.outcome
 (** Emulate the interval (if not already built) and add its fragment to
-    the graph. Consumes a pool-produced fragment when one is cached or
-    in flight instead of replaying again. *)
+    the graph. Uses the shared cache's outcome when there is one;
+    otherwise replays serially on the calling domain. *)
 
 val build_intervals_par : t -> (int * int) list -> unit
 (** Batch-emulate a set of [(pid, iv_id)] intervals: every missing
     replay is submitted to the pool (if any), then the fragments are
-    assembled into the graph in list order on the calling domain — so
-    the graph equals the one a serial [build_interval] loop over the
-    same list would build. *)
-
-val prefetch : ?max_candidates:int -> t -> int
-(** Eager mode: speculatively emulate the dependence frontier of what
-    is built so far on idle pool domains — pending sync-link partner
-    intervals and, per unresolved external, the intervals resolution
-    would try (parent/spawner for parameters; up to [max_candidates]
-    DEFINED-set shared-write candidates for globals, default 8). Only
-    raw outcomes are produced, never graph nodes, so queries stay
-    deterministic. Returns the number of replays submitted; [0]
-    without a pool.
-
-    Speculative work is charged against [config.max_replay_steps], the
-    same budget the PPD060 watchdog enforces on demand replays: once
-    the controller's charged account (assembled work plus earlier
-    speculation and overrun attempts) reaches the budget, no further
-    speculative replays are submitted — so a [--degraded] run with a
-    tight budget cannot silently burn unbounded speculative steps. *)
+    assembled into the graph in list order on the calling domain, each
+    from its own future — so the graph equals the one a serial
+    [build_interval] loop over the same list would build. A transient
+    failure of a pooled replay is retried serially ([config.retries]). *)
 
 val last_event_node : t -> pid:int -> int option
 (** The node of the last event process [pid] executed — the root of the
@@ -168,12 +151,11 @@ type stats = {
   replays : int;  (** intervals assembled into the graph so far *)
   replay_steps : int;  (** interpreter steps spent emulating *)
   intervals_total : int;  (** intervals available in the log *)
-  prefetched : int;  (** speculative replays submitted by {!prefetch} *)
   cache_hits : int;
       (** assembly requests answered without a fresh serial replay
-          (already assembled, pool fragment, in flight, or shared
-          cache) — this instance only, always live unlike the Obs
-          mirror *)
+          (already assembled, a batch replay's pool future, or the
+          shared cache) — this instance only, always live unlike the
+          Obs mirror *)
   cache_misses : int;  (** assembly requests that forced a serial replay *)
   holes : int;  (** degraded-mode holes declared *)
   retried : int;  (** transient replay failures retried *)

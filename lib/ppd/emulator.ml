@@ -606,9 +606,9 @@ let check_postlog st ~single_process =
         vals
     | _ -> [])
 
-(* Every interval emulation, whether demanded by a query or speculated
-   by the prefetcher — so this is always ≥ the controller's assembled
-   replay count. *)
+(* Every interval emulation, retried and overrun attempts included —
+   so without a shared fragment cache this is ≥ the controller's
+   assembled replay count. *)
 let c_replays = Obs.counter "ppd.emulator.replays"
 
 (* Chaos site: when armed with kind [budget] the Nth replay's step

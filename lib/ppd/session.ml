@@ -6,18 +6,13 @@ type t = {
   machine : M.t;
   log : Trace.Log.t;
   pardyn_rt : Pardyn.t option;
-  jobs : int;
   ctl_config : Controller.config option;
-  mutable pool : Exec.Pool.t option;
   mutable ctl : Controller.t option;
-  mutable closed : bool;
-      (* mirrors the Pool.shutdown joined flag: close is idempotent,
-         and a closed session never creates another pool *)
 }
 
 let of_program ?(engine = M.Vm_engine) ?(sched = Runtime.Sched.default)
     ?(max_steps = 1_000_000) ?policy ?(race_sets = false) ?breakpoints
-    ?log_sink ?(log_order = false) ?ckpt_every ?(jobs = 1) ?ctl_config prog =
+    ?log_sink ?(log_order = false) ?ckpt_every ?ctl_config prog =
   let eb = Analysis.Eblock.analyze ?policy prog in
   (* Order-tier recording (DESIGN §16) must remember how to re-execute:
      the scheduler spec, engine and step budget go into the tier
@@ -50,17 +45,14 @@ let of_program ?(engine = M.Vm_engine) ?(sched = Runtime.Sched.default)
     machine;
     log = Trace.Logger.finish logger;
     pardyn_rt = Option.map Pardyn.finish obs;
-    jobs = max 1 jobs;
     ctl_config;
-    pool = None;
     ctl = None;
-    closed = false;
   }
 
 let run ?engine ?sched ?max_steps ?policy ?race_sets ?breakpoints ?log_sink
-    ?log_order ?ckpt_every ?jobs ?ctl_config src =
+    ?log_order ?ckpt_every ?ctl_config src =
   of_program ?engine ?sched ?max_steps ?policy ?race_sets ?breakpoints
-    ?log_sink ?log_order ?ckpt_every ?jobs ?ctl_config
+    ?log_sink ?log_order ?ckpt_every ?ctl_config
     (Lang.Compile.compile src)
 
 let prog t = t.eb.Analysis.Eblock.prog
@@ -79,31 +71,9 @@ let controller t =
   match t.ctl with
   | Some c -> c
   | None ->
-    let pool =
-      if t.jobs > 1 && not t.closed then begin
-        let p = Exec.Pool.create ~jobs:t.jobs () in
-        t.pool <- Some p;
-        Some p
-      end
-      else None
-    in
-    let c = Controller.start ?pool ?config:t.ctl_config t.eb t.log in
+    let c = Controller.start ?config:t.ctl_config t.eb t.log in
     t.ctl <- Some c;
     c
-
-let shutdown t =
-  if not t.closed then begin
-    t.closed <- true;
-    (* detach before joining: once the pool is gone the controller
-       must fall back to serial replay instead of raising on submit *)
-    (match t.ctl with Some c -> Controller.detach_pool c | None -> ());
-    (match t.pool with Some p -> Exec.Pool.shutdown p | None -> ());
-    t.pool <- None
-  end
-
-let close = shutdown
-
-let closed t = t.closed
 
 exception No_race_sets
 

@@ -19,7 +19,6 @@ val run :
   ?log_sink:Trace.Logger.sink ->
   ?log_order:bool ->
   ?ckpt_every:int ->
-  ?jobs:int ->
   ?ctl_config:Controller.config ->
   string ->
   t
@@ -30,11 +29,9 @@ val run :
     phase what the logger alone skips: turn it on only where races are
     read. [log_sink] additionally streams every log entry out as it
     is produced (e.g. a {!Store.Segment.Writer} appending the durable
-    segment file). [jobs] (default [1]) sets the size of the domain
-    pool the debugging phase may replay intervals on; [1] is the
-    serial path and both build byte-identical graphs. [ctl_config]
-    sets the controller's degraded-mode policy (retries, watchdog,
-    hole declaration — see {!Controller.config}). [log_order] (default
+    segment file). [ctl_config] sets the controller's degraded-mode
+    policy (retries, watchdog, hole declaration — see
+    {!Controller.config}). [log_order] (default
     [false]) records an order-tier log instead of a content log (DESIGN
     §16): only the sync-event partial order plus a checkpoint every
     [ckpt_every] machine steps ({!Trace.Logger.default_ckpt_every}) —
@@ -54,7 +51,6 @@ val of_program :
   ?log_sink:Trace.Logger.sink ->
   ?log_order:bool ->
   ?ckpt_every:int ->
-  ?jobs:int ->
   ?ctl_config:Controller.config ->
   Lang.Prog.t ->
   t
@@ -75,20 +71,9 @@ val output : t -> string
 val log : t -> Trace.Log.t
 
 val controller : t -> Controller.t
-(** Created on first use; cached. When the session was created with
-    [jobs > 1], the controller gets a domain pool of that size. *)
-
-val shutdown : t -> unit
-(** Join the session's pool domains, if a pool was created. Idempotent
-    (a closed session never joins or creates a pool again), and the
-    controller keeps answering queries afterwards: the pool is detached
-    first, so later [build_interval]s replay serially instead of
-    raising on a shut-down pool. *)
-
-val close : t -> unit
-(** Alias of {!shutdown} — the registry-facing name. *)
-
-val closed : t -> bool
+(** Created on first use; cached. It replays intervals serially on the
+    calling domain: a session holds no domain pool, so it owns nothing
+    that needs closing. *)
 
 exception No_race_sets
 (** Raised by {!pardyn} and {!races} on a session recorded without

@@ -81,7 +81,7 @@ let validate ?(max_steps = 200_000) (p : P.t) (cert : Proto.cert) =
               (List.length !remaining)
           | _ -> () (* non-communication event en route to the action *))
   in
-  let hooks _port = { Hooks.on_event; stmts = true } in
+  let hooks _port = { Hooks.on_event; stmts = false } in
   let fallback runnable =
     let pick = List.hd runnable in
     schedule := pick :: !schedule;

@@ -119,7 +119,8 @@ type t = {
   entries : (string, entry) Hashtbl.t;  (* key -> entry *)
   sessions : (int, session) Hashtbl.t;
   mutable next_session : int;
-  pool : Exec.Pool.t option;
+  mutable pool : Exec.Pool.t option;
+      (* [None] from [shutdown] on: later requests replay serially *)
   gate : Gate.t;
   breakers : Resil.Breaker.Group.t;
   budget : Resil.Budget.t option;
@@ -182,7 +183,12 @@ let create ?(config = default_config) ?journal ?resume () =
 let config t = t.cfg
 
 let shutdown t =
-  (match t.pool with Some p -> Exec.Pool.shutdown p | None -> ());
+  (* drop the pool before joining it, so a request that arrives after
+     shutdown builds a poolless controller instead of submitting to a
+     joined pool *)
+  let pool = t.pool in
+  t.pool <- None;
+  (match pool with Some p -> Exec.Pool.shutdown p | None -> ());
   match t.journal with Some j -> Journal.close j | None -> ()
 
 let session t =

@@ -63,9 +63,9 @@ val create : ?config:config -> ?journal:string -> ?resume:string -> unit -> t
 val config : t -> config
 
 val shutdown : t -> unit
-(** Join the shared pool and close the journal (idempotent). Sessions
-    stay answerable on the serial path, mirroring {!Ppd.Session.close}
-    semantics. *)
+(** Join the shared pool and close the journal (idempotent). The pool
+    is dropped before it is joined, so sessions stay answerable: every
+    later request, on a log opened before or after, replays serially. *)
 
 val session : t -> session
 (** Register a new session (one per connection). *)

@@ -10,8 +10,9 @@
 #     durable prefix always recovers.
 #  3. A seeded fault matrix over the other injection points: bit flips
 #     are caught by fsck, read faults and replay-budget exhaustion
-#     degrade to holes, and a transient pool fault leaves -j4 output
-#     byte-identical to a clean -j1 run.
+#     degrade to holes, and a transient pool fault in the daemon's
+#     `-j 4` batch replay leaves its answer byte-identical to the serial
+#     `ppd replay --load`.
 #  4. The same truncation contract over an order-tier log (sync order +
 #     checkpoint frames + tier footer), and cross-tier flowback
 #     identity on the intact file.
@@ -183,12 +184,19 @@ if [ "$code" -ne 7 ]; then
   exit 1
 fi
 
-# a transient pool fault is retried: -j4 under fault == clean -j1
-"$PPD" flowback "$dir/fig61.mpl" --depth 2 -j 1 >"$dir/clean.out"
-"$PPD" flowback "$dir/fig61.mpl" --depth 2 -j 4 \
-  --fault exec.pool.task:1 >"$dir/faulted.out"
+# a transient pool fault is retried: only the daemon keeps a pool, and
+# its -j4 replay under the fault == the serial one-shot replay
+"$PPD" replay "$dir/fig61.mpl" --load "$dir/run.log" --dump >"$dir/clean.out"
+printf '%s\n' \
+  "{\"id\":1,\"method\":\"open\",\"params\":{\"log\":\"$dir/run.log\",\"program\":\"$dir/fig61.mpl\"}}" \
+  '{"id":2,"method":"replay","params":{"handle":1,"dump":true}}' |
+  "$PPD" serve --rpc -j 4 --fault exec.pool.task:1 |
+  python3 -c '
+import json, sys
+sys.stdout.write(json.loads(sys.stdin.readlines()[1])["result"]["output"])' \
+    >"$dir/faulted.out"
 cmp "$dir/clean.out" "$dir/faulted.out" || {
-  echo "chaos: transient pool fault changed the flowback output" >&2
+  echo "chaos: transient pool fault changed the daemon replay output" >&2
   exit 1
 }
 

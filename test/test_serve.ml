@@ -530,6 +530,33 @@ let test_replay_parallel_matches_serial () =
       in
       Alcotest.(check string) "-j4 replay is byte-identical" (out serial) (out par))
 
+(* [shutdown] joins the pool but leaves sessions answerable: a replay
+   on a handle opened before it, and on a log opened after it, answers
+   as the poolless daemon does instead of submitting to a joined pool. *)
+let test_replay_after_shutdown () =
+  with_fixture (fun ~mpl ~seg ->
+      let replay srv s ~id h =
+        Server.handle_line srv s (req ~id "replay" [ ("handle", J.Int h) ])
+      in
+      let serial = Server.create () in
+      let s0 = Server.session serial in
+      let expected =
+        jstr (result_of (replay serial s0 ~id:2 (open_handle serial s0 ~mpl ~seg)))
+          "output"
+      in
+      Server.shutdown serial;
+      let srv = Server.create ~config:{ Server.default_config with jobs = 2 } () in
+      let s1 = Server.session srv in
+      let before = open_handle srv s1 ~mpl ~seg in
+      Server.shutdown srv;
+      let s2 = Server.session srv in
+      let after = open_handle srv s2 ~mpl ~seg in
+      Alcotest.(check string) "handle opened before shutdown" expected
+        (jstr (result_of (replay srv s1 ~id:3 before)) "output");
+      Alcotest.(check string) "log opened after shutdown" expected
+        (jstr (result_of (replay srv s2 ~id:4 after)) "output");
+      Server.shutdown srv)
+
 let test_watchdog_and_degraded () =
   with_fixture (fun ~mpl ~seg ->
       let srv = Server.create () in
@@ -900,6 +927,8 @@ let suite =
         test_v1_open_refused;
       Alcotest.test_case "-j4 replay byte-identical" `Quick
         test_replay_parallel_matches_serial;
+      Alcotest.test_case "replay after shutdown answers serially" `Quick
+        test_replay_after_shutdown;
       Alcotest.test_case "watchdog, degraded, caps" `Quick
         test_watchdog_and_degraded;
       Alcotest.test_case "step quota" `Quick test_step_quota;
