@@ -248,17 +248,19 @@ let load_arg =
 let ctl_config_of degraded max_replay_steps =
   { Ppd.Controller.default_config with degraded; max_replay_steps }
 
-let profile_write pout ptrace =
+(* [note] takes the "written to" confirmations: `ppd serve` sends them
+   to stderr, since its stdout may carry only protocol lines. *)
+let profile_write ?(note = stdout) pout ptrace =
   (match pout with
   | Some "-" -> print_string (Json.to_string (Obs.to_json ()))
   | Some path ->
     Obs.write_json path;
-    Printf.printf "profile written to %s\n" path
+    Printf.fprintf note "profile written to %s\n%!" path
   | None -> ());
   match ptrace with
   | Some path ->
     Obs.write_chrome_trace path;
-    Printf.printf "trace written to %s\n" path
+    Printf.fprintf note "trace written to %s\n%!" path
   | None -> ()
 
 let session_of ?engine ?loops ?(breakpoints = []) ?ctl_config ?log_order
@@ -1553,7 +1555,7 @@ let serve_cmd =
       Format.eprintf
         "ppd serve: pass exactly one of --socket PATH, --port N or --rpc@.";
       exit 124);
-    profile_write pout ptrace
+    profile_write ~note:stderr pout ptrace
   in
   Cmd.v
     (Cmd.info "serve"

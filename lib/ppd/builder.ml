@@ -3,46 +3,104 @@ module E = Runtime.Event
 module V = Runtime.Value
 module SP = Analysis.Static_pdg
 
+(* Per-program assembly tables, built once and shared read-only by
+   every builder over the program (on any domain): node labels, and
+   each statement's static control parents, so feeding an event neither
+   formats a label nor filters the PDG. *)
+type tables = {
+  prog : P.t;
+  labels : string array;  (* by sid *)
+  loop_labels : string array;  (* by sid: "while (c)", loops only *)
+  entry_labels : string array;  (* by fid *)
+  exit_labels : string array;  (* by fid *)
+  param_labels : string array;  (* by vid: "%n (x)", parameters only *)
+  ext_labels : string array;  (* by vid *)
+  ctrl_parents : int list array;
+      (* by sid: the static control parents in PDG order, -1 for the
+         function's ENTRY, otherwise the governing predicate's sid *)
+}
+
+let tables prog =
+  let pdgs = SP.build_program prog in
+  let labels = Array.map P.stmt_label prog.P.stmts in
+  let param_labels = Array.make (Array.length prog.P.vars) "" in
+  Array.iter
+    (fun (f : P.func) ->
+      List.iteri
+        (fun i (v : P.var) ->
+          param_labels.(v.vid) <- Printf.sprintf "%%%d (%s)" (i + 1) v.vname)
+        f.params)
+    prog.P.funcs;
+  let ctrl_parents =
+    Array.map
+      (fun (stmt : P.stmt) ->
+        let fid = prog.P.stmt_fid.(stmt.sid) in
+        let cfg = pdgs.SP.cfgs.(fid) in
+        let cnode = cfg.Analysis.Cfg.node_of_sid.(stmt.sid) in
+        if cnode < 0 then []
+        else
+          List.filter_map
+            (fun (src, _label) ->
+              match Analysis.Cfg.kind cfg src with
+              | Analysis.Cfg.Entry -> Some (-1)
+              | Analysis.Cfg.Stmt ps -> Some ps.P.sid
+              | Analysis.Cfg.Exit -> None)
+            (SP.control_parents pdgs.SP.pdgs.(fid) cnode))
+      prog.P.stmts
+  in
+  {
+    prog;
+    labels;
+    loop_labels =
+      Array.map2
+        (fun (stmt : P.stmt) label ->
+          match stmt.desc with P.Swhile _ -> "while " ^ label | _ -> "")
+        prog.P.stmts labels;
+    entry_labels = Array.map (fun (f : P.func) -> "ENTRY " ^ f.fname) prog.P.funcs;
+    exit_labels = Array.map (fun (f : P.func) -> "EXIT " ^ f.fname) prog.P.funcs;
+    param_labels;
+    ext_labels = Array.map (fun (v : P.var) -> v.vname ^ " (external)") prog.P.vars;
+    ctrl_parents;
+  }
+
+module Itbl = Hashtbl.Make (Int)
+
 type scope = {
   sc_fid : int;
   sc_owner : int option;  (* sub-graph node owning the members *)
   sc_entry : int;
-  sc_local_def : (int, int) Hashtbl.t;  (* vid -> node *)
-  sc_last_pred : (int, int) Hashtbl.t;  (* predicate sid -> node instance *)
+  sc_local_def : int Itbl.t;  (* vid -> node *)
+  sc_last_pred : int Itbl.t;  (* predicate sid -> node instance *)
   mutable sc_open_calls : (int * int) list;  (* call sid -> sub-graph node *)
   mutable sc_open_loops : (int * int) list;  (* loop sid -> loop node *)
   mutable sc_last_return : int option;
 }
 
 type t = {
-  pdgs : SP.program_pdgs;
+  tb : tables;
   g : Dyn_graph.t;
   pid : int;
   mutable scopes : scope list;
-  glob_def : (int, int) Hashtbl.t;  (* global vid -> node *)
-  mutable last : int option;
+  glob_def : int Itbl.t;  (* global vid -> node *)
+  mutable last : int;  (* the previous event's node, -1 before the first *)
   mutable pending : (E.eref * int) list;
   mutable popped_return : int option;
       (* return node of the callee just left, for the %0 edge *)
 }
 
-let create pdgs g ~pid =
+let create tb g ~pid =
   {
-    pdgs;
+    tb;
     g;
     pid;
     scopes = [];
-    glob_def = Hashtbl.create 32;
-    last = None;
+    glob_def = Itbl.create 32;
+    last = -1;
     pending = [];
     popped_return = None;
   }
 
-let last_node t = t.last
-
 let pending_links t = t.pending
-
-let prog t = t.pdgs.SP.prog
 
 let cur_scope t =
   match t.scopes with
@@ -50,10 +108,9 @@ let cur_scope t =
   | s :: _ -> s
 
 let flow_to t node =
-  (match t.last with
-  | Some prev -> Dyn_graph.add_edge t.g ~src:prev ~dst:node ~kind:Dyn_graph.Flow
-  | None -> ());
-  t.last <- Some node
+  if t.last >= 0 then
+    Dyn_graph.add_edge t.g ~src:t.last ~dst:node ~kind:Dyn_graph.Flow;
+  t.last <- node
 
 (* Resolve the defining node of a read; creates a frontier node when
    the definition lies outside the fragment. *)
@@ -61,29 +118,26 @@ let resolve_read t (rw : E.rw) =
   let v = rw.var in
   let sc = cur_scope t in
   let table = if P.is_global v then t.glob_def else sc.sc_local_def in
-  match Hashtbl.find_opt table v.vid with
+  match Itbl.find_opt table v.vid with
   | Some node -> node
   | None ->
     let node =
       Dyn_graph.add_node t.g ?owner:sc.sc_owner ~value:rw.value ~pid:t.pid
         ~kind:(Dyn_graph.N_external v)
-        ~label:(v.vname ^ " (external)")
+        ~label:t.tb.ext_labels.(v.vid)
         ()
     in
     Dyn_graph.mark_external t.g node v;
-    Hashtbl.replace table v.vid node;
+    Itbl.replace table v.vid node;
     node
 
+(* One edge per distinct variable: a repeated read resolves to the
+   same source, and [Dyn_graph.add_edge] drops the duplicate. *)
 let data_edges t node reads =
-  (* one edge per distinct variable *)
-  let seen = Hashtbl.create 8 in
   List.iter
     (fun (rw : E.rw) ->
-      if not (Hashtbl.mem seen rw.var.P.vid) then begin
-        Hashtbl.add seen rw.var.P.vid ();
-        let src = resolve_read t rw in
-        Dyn_graph.add_edge t.g ~src ~dst:node ~kind:(Dyn_graph.Data rw.var)
-      end)
+      let src = resolve_read t rw in
+      Dyn_graph.add_edge t.g ~src ~dst:node ~kind:(Dyn_graph.Data rw.var))
     reads
 
 let record_write t node (w : E.rw option) =
@@ -92,33 +146,25 @@ let record_write t node (w : E.rw option) =
   | Some { var; _ } ->
     let sc = cur_scope t in
     let table = if P.is_global var then t.glob_def else sc.sc_local_def in
-    Hashtbl.replace table var.vid node
+    Itbl.replace table var.vid node
 
 (* Dynamic control dependence: the latest executed instance of the
    statement's static control parent. *)
 let control_edge t node sid =
   let sc = cur_scope t in
-  let pdg = t.pdgs.SP.pdgs.(sc.sc_fid) in
-  let cfg = t.pdgs.SP.cfgs.(sc.sc_fid) in
-  let cnode = cfg.Analysis.Cfg.node_of_sid.(sid) in
-  if cnode >= 0 then
-    let parents = SP.control_parents pdg cnode in
-    List.iter
-      (fun (src, _label) ->
-        match Analysis.Cfg.kind cfg src with
-        | Analysis.Cfg.Entry ->
-          Dyn_graph.add_edge t.g ~src:sc.sc_entry ~dst:node
-            ~kind:Dyn_graph.Control
-        | Analysis.Cfg.Stmt ps -> (
-          match Hashtbl.find_opt sc.sc_last_pred ps.P.sid with
-          | Some inst ->
-            Dyn_graph.add_edge t.g ~src:inst ~dst:node ~kind:Dyn_graph.Control
+  List.iter
+    (fun psid ->
+      let src =
+        if psid < 0 then sc.sc_entry
+        else
+          match Itbl.find_opt sc.sc_last_pred psid with
+          | Some inst -> inst
           | None ->
             (* should not happen inside a complete interval; fall back *)
-            Dyn_graph.add_edge t.g ~src:sc.sc_entry ~dst:node
-              ~kind:Dyn_graph.Control)
-        | Analysis.Cfg.Exit -> ())
-      parents
+            sc.sc_entry
+      in
+      Dyn_graph.add_edge t.g ~src ~dst:node ~kind:Dyn_graph.Control)
+    t.tb.ctrl_parents.(sid)
 
 let sync_link t ~src ~dst =
   match Dyn_graph.find_ref t.g src with
@@ -141,8 +187,8 @@ let open_scope t ~fid ~owner ~entry ~binds ~from_sub =
       sc_fid = fid;
       sc_owner = owner;
       sc_entry = entry;
-      sc_local_def = Hashtbl.create 16;
-      sc_last_pred = Hashtbl.create 8;
+      sc_local_def = Itbl.create 16;
+      sc_last_pred = Itbl.create 8;
       sc_open_calls = [];
       sc_open_loops = [];
       sc_last_return = None;
@@ -154,7 +200,7 @@ let open_scope t ~fid ~owner ~entry ~binds ~from_sub =
       let pnode =
         Dyn_graph.add_node t.g ?owner ~value ~pid:t.pid
           ~kind:(Dyn_graph.N_param (i + 1))
-          ~label:(Printf.sprintf "%%%d (%s)" (i + 1) v.vname)
+          ~label:t.tb.param_labels.(v.vid)
           ()
       in
       (match from_sub with
@@ -164,10 +210,10 @@ let open_scope t ~fid ~owner ~entry ~binds ~from_sub =
       | None ->
         Dyn_graph.add_edge t.g ~src:entry ~dst:pnode
           ~kind:(Dyn_graph.Dparam (i + 1)));
-      Hashtbl.replace sc.sc_local_def v.vid pnode)
+      Itbl.replace sc.sc_local_def v.vid pnode)
     binds
 
-let stmt_of_sid t sid = (prog t).stmts.(sid)
+let stmt_of_sid t sid = t.tb.prog.P.stmts.(sid)
 
 let feed t ~seq (ev : E.t) =
   let ref_ = { E.epid = t.pid; eseq = seq } in
@@ -175,7 +221,7 @@ let feed t ~seq (ev : E.t) =
   | E.E_proc_start { fid; binds; spawn } ->
     let entry =
       Dyn_graph.add_node t.g ~ref_ ~pid:t.pid ~kind:(Dyn_graph.N_entry fid)
-        ~label:(Printf.sprintf "ENTRY %s" (prog t).funcs.(fid).fname)
+        ~label:t.tb.entry_labels.(fid)
         ()
     in
     (match spawn with Some r -> sync_link t ~src:r ~dst:entry | None -> ());
@@ -190,7 +236,7 @@ let feed t ~seq (ev : E.t) =
     let entry =
       Dyn_graph.add_node t.g ~ref_ ?owner:sub ~pid:t.pid
         ~kind:(Dyn_graph.N_entry fid)
-        ~label:(Printf.sprintf "ENTRY %s" (prog t).funcs.(fid).fname)
+        ~label:t.tb.entry_labels.(fid)
         ()
     in
     (match sub with
@@ -209,18 +255,17 @@ let feed t ~seq (ev : E.t) =
     let exit_node =
       Dyn_graph.add_node t.g ~ref_ ?owner:sc_owner ~pid:t.pid
         ~kind:(Dyn_graph.N_exit fid)
-        ~label:(Printf.sprintf "EXIT %s" (prog t).funcs.(fid).fname)
+        ~label:t.tb.exit_labels.(fid)
         ()
     in
     flow_to t exit_node;
     (match t.scopes with _ :: rest -> t.scopes <- rest | [] -> ())
   | E.E_loop_enter { sid } ->
     let sc = cur_scope t in
-    let stmt = stmt_of_sid t sid in
     let node =
       Dyn_graph.add_node t.g ~ref_ ?owner:sc.sc_owner ~pid:t.pid
         ~kind:(Dyn_graph.N_loop sid)
-        ~label:(Printf.sprintf "while %s" (P.stmt_label stmt))
+        ~label:t.tb.loop_labels.(sid)
         ()
     in
     control_edge t node sid;
@@ -232,7 +277,7 @@ let feed t ~seq (ev : E.t) =
     | None -> ()
     | Some lnode -> (
       sc.sc_open_loops <- List.remove_assoc sid sc.sc_open_loops;
-      t.last <- Some lnode;
+      t.last <- lnode;
       match writes with
       | None -> ()
       | Some ws ->
@@ -240,11 +285,11 @@ let feed t ~seq (ev : E.t) =
         List.iter
           (fun ((v : P.var), _) ->
             let table = if P.is_global v then t.glob_def else sc.sc_local_def in
-            Hashtbl.replace table v.vid lnode)
+            Itbl.replace table v.vid lnode)
           ws))
   | E.E_stmt { sid; reads; write; kind } -> (
     let stmt = stmt_of_sid t sid in
-    let label = P.stmt_label stmt in
+    let label = t.tb.labels.(sid) in
     let singular ?value () =
       let sc = cur_scope t in
       let node =
@@ -264,7 +309,7 @@ let feed t ~seq (ev : E.t) =
       record_write t node write
     | E.K_pred b ->
       let node = singular ~value:(V.Vint (if b then 1 else 0)) () in
-      (cur_scope t).sc_last_pred |> fun tbl -> Hashtbl.replace tbl sid node
+      (cur_scope t).sc_last_pred |> fun tbl -> Itbl.replace tbl sid node
     | E.K_print { value } -> ignore (singular ~value ())
     | E.K_assert { ok } -> ignore (singular ~value:(V.Vint (if ok then 1 else 0)) ())
     | E.K_return { value } ->
@@ -300,25 +345,18 @@ let feed t ~seq (ev : E.t) =
                 ~label:(Printf.sprintf "%%%d" idx)
                 ()
             in
-            let seen = Hashtbl.create 4 in
             List.iter
               (fun (v : P.var) ->
-                if not (Hashtbl.mem seen v.vid) then begin
-                  Hashtbl.add seen v.vid ();
-                  (* values of the reads are in the event's read list *)
-                  let value =
-                    match
-                      List.find_opt
-                        (fun (rw : E.rw) -> rw.var.P.vid = v.vid)
-                        reads
-                    with
-                    | Some rw -> rw.value
-                    | None -> V.Vundef
-                  in
-                  let src = resolve_read t { E.var = v; value } in
-                  Dyn_graph.add_edge t.g ~src ~dst:fict
-                    ~kind:(Dyn_graph.Data v)
-                end)
+                (* values of the reads are in the event's read list *)
+                let value =
+                  match
+                    List.find_opt (fun (rw : E.rw) -> rw.var.P.vid = v.vid) reads
+                  with
+                  | Some rw -> rw.value
+                  | None -> V.Vundef
+                in
+                let src = resolve_read t { E.var = v; value } in
+                Dyn_graph.add_edge t.g ~src ~dst:fict ~kind:(Dyn_graph.Data v))
               (P.expr_reads arg);
             Dyn_graph.add_edge t.g ~src:fict ~dst:sub
               ~kind:(Dyn_graph.Dparam idx))
@@ -340,7 +378,7 @@ let feed t ~seq (ev : E.t) =
           t.popped_return <- None
         | None -> ());
         record_write t sub write;
-        t.last <- Some sub)
+        t.last <- sub)
     | E.K_p { src; _ } ->
       let node = singular () in
       (match src with Some r -> sync_link t ~src:r ~dst:node | None -> ());
@@ -366,14 +404,13 @@ let feed t ~seq (ev : E.t) =
    interval replays without an opening enter event, so its nodes hang
    off the loop node of the parent fragment when it exists, or a fresh
    collapsed loop node otherwise. *)
-let prepare pdgs g ~interval =
+let prepare tb g ~interval =
   let pid = interval.Trace.Log.iv_pid in
-  let t = create pdgs g ~pid in
+  let t = create tb g ~pid in
   (match interval.Trace.Log.iv_block with
   | Trace.Log.Bfunc _ -> ()
   | Trace.Log.Bloop sid ->
-    let prog = pdgs.SP.prog in
-    let fid = prog.P.stmt_fid.(sid) in
+    let fid = tb.prog.P.stmt_fid.(sid) in
     let enter_ref =
       { E.epid = pid; eseq = interval.Trace.Log.iv_seq_start - 1 }
     in
@@ -382,25 +419,14 @@ let prepare pdgs g ~interval =
       | Some n -> n
       | None ->
         Dyn_graph.add_node g ~ref_:enter_ref ~pid
-          ~kind:(Dyn_graph.N_loop sid)
-          ~label:
-            (Printf.sprintf "while %s" (P.stmt_label prog.P.stmts.(sid)))
-          ()
+          ~kind:(Dyn_graph.N_loop sid) ~label:tb.loop_labels.(sid) ()
     in
     open_scope t ~fid ~owner:(Some entry) ~entry ~binds:[] ~from_sub:None;
-    t.last <- Some entry);
+    t.last <- entry);
   t
 
-let build_from_outcome pdgs g ~interval (outcome : Emulator.outcome) =
-  let t = prepare pdgs g ~interval in
+let build_from_outcome tb g ~interval (outcome : Emulator.outcome) =
+  let t = prepare tb g ~interval in
   List.iter (fun (seq, ev) -> feed t ~seq ev) outcome.Emulator.events;
   resolve_links t;
   t
-
-let build_interval pdgs eb log g ~interval =
-  (* replay first, assemble after: the emulation does not read the
-     graph, so feeding the finished event list yields the same graph as
-     feeding during replay — and lets the replay run on another domain
-     (Controller.build_intervals_par) while assembly stays serial *)
-  let outcome = Emulator.replay eb log ~interval in
-  (build_from_outcome pdgs g ~interval outcome, outcome)

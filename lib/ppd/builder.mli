@@ -21,39 +21,22 @@
       node is already in the graph, or recorded as pending links
       resolved when more fragments are built. *)
 
+type tables
+(** Per-program assembly tables: the static PDGs' control parents of
+    every statement and every node label, computed once per program and
+    shared read-only by all builders over it, on any domain. *)
+
+val tables : Lang.Prog.t -> tables
+
 type t
-
-val create : Analysis.Static_pdg.program_pdgs -> Dyn_graph.t -> pid:int -> t
-(** A builder for one process's event stream, adding to the (possibly
-    shared) graph. *)
-
-val feed : t -> seq:int -> Runtime.Event.t -> unit
-
-val last_node : t -> int option
-(** The node created by the most recently fed event. *)
 
 val pending_links : t -> (Runtime.Event.eref * int) list
 (** Cross-process sync links whose source node is not in the graph yet:
     [(source event, target node)]. *)
 
 val build_from_outcome :
-  Analysis.Static_pdg.program_pdgs ->
-  Dyn_graph.t ->
-  interval:Trace.Log.interval ->
-  Emulator.outcome ->
-  t
-(** Assemble the fragment for an interval from an already-computed
-    replay outcome (possibly produced on another domain): seed the
-    scope, feed every event, resolve pending sync links. Equivalent to
-    the feeding {!build_interval} performs — replay never reads the
-    graph, so replay-then-feed and feed-during-replay build identical
-    graphs. *)
-
-val build_interval :
-  Analysis.Static_pdg.program_pdgs ->
-  Analysis.Eblock.t ->
-  Trace.Log.t ->
-  Dyn_graph.t ->
-  interval:Trace.Log.interval ->
-  t * Emulator.outcome
-(** Convenience: replay the interval and feed every event. *)
+  tables -> Dyn_graph.t -> interval:Trace.Log.interval -> Emulator.outcome -> t
+(** Assemble the fragment for an interval from its replay outcome
+    (possibly produced on another domain): seed the scope, feed every
+    event, resolve pending sync links. Replay never reads the graph, so
+    replay-then-feed builds the graph feeding during replay would. *)

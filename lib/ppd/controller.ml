@@ -46,8 +46,7 @@ type hole = {
 
 type t = {
   eb : Analysis.Eblock.t;
-  pdgs : Analysis.Static_pdg.program_pdgs;
-  db : Analysis.Progdb.t;
+  tables : Builder.tables;  (* per-program, possibly shared *)
   src : Seg.reader;
       (* where the entries come from: an open segment decoded interval by
          interval as queries touch it, or a whole log held in memory *)
@@ -107,7 +106,7 @@ let c_holes = Obs.counter "ctl.holes"
 
 let c_retries = Obs.counter "ctl.retries"
 
-let start_paged ?pool ?shared ?(config = default_config) eb src =
+let start_paged ?pool ?shared ?tables ?(config = default_config) eb src =
   (* An order-tier log carries no value snapshots, so nothing here can
      emulate from it directly. Reconstruct the equivalent content log
      up front (DESIGN §16) and debug that: the reconstruction is
@@ -123,8 +122,8 @@ let start_paged ?pool ?shared ?(config = default_config) eb src =
   let stmt_fid sid = prog.P.stmt_fid.(sid) in
   {
     eb;
-    pdgs = Analysis.Static_pdg.build_program prog;
-    db = Analysis.Progdb.build ~summary:eb.Analysis.Eblock.summary prog;
+    tables =
+      (match tables with Some tb -> tb | None -> Builder.tables prog);
     src;
     pd = lazy (Pardyn.of_log prog (Seg.to_log src));
     g = Dyn_graph.create ();
@@ -147,11 +146,11 @@ let start_paged ?pool ?shared ?(config = default_config) eb src =
 let start ?pool ?shared ?config eb log =
   start_paged ?pool ?shared ?config eb (Seg.of_log log)
 
-(* The log slice an interval's emulation touches: entries
-   [iv_prelog - 1 .. iv_postlog] (the preceding sync record through the
-   closing postlog, or the process's end for open intervals). An indexed
-   reader decodes exactly that window. *)
-let interval_log t (iv : L.interval) =
+(* The log entries an interval's emulation reads: [iv_prelog - 1 ..
+   iv_postlog] (the preceding sync record through the closing postlog,
+   or the process's end for open intervals). An indexed reader decodes
+   only the pages they span. *)
+let interval_window t (iv : L.interval) =
   let pid = iv.L.iv_pid in
   let hi =
     match iv.L.iv_postlog with
@@ -182,8 +181,8 @@ let retry_pending t =
    the emulator touches only its own state, and a paged source's page
    cache is sharded per domain ({!Store.Segment}). *)
 let replay_outcome t (iv : L.interval) =
-  Emulator.replay ~max_steps:t.config.max_replay_steps t.eb (interval_log t iv)
-    ~interval:iv
+  Emulator.replay_window ~max_steps:t.config.max_replay_steps t.eb
+    (interval_window t iv) ~interval:iv
 
 (* Consult the cross-controller fragment cache. A cached outcome whose
    step count exceeds *this* controller's watchdog budget is ignored:
@@ -343,7 +342,7 @@ let assemble_interval ?fut (t : t) ~pid ~iv_id =
          would, and parallel and serial runs yield identical graphs. The
          counters are bumped the same way on every path, so [-jN]
          statistics match [-j1] byte for byte. *)
-      let builder = Builder.build_from_outcome t.pdgs t.g ~interval:iv outcome in
+      let builder = Builder.build_from_outcome t.tables t.g ~interval:iv outcome in
       t.replays <- t.replays + 1;
       t.replay_steps <- t.replay_steps + outcome.Emulator.steps;
       Obs.incr c_replays;

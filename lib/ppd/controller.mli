@@ -68,6 +68,7 @@ type hole = {
 val start_paged :
   ?pool:Exec.Pool.t ->
   ?shared:Fragcache.t ->
+  ?tables:Builder.tables ->
   ?config:config ->
   Analysis.Eblock.t ->
   Store.Segment.reader ->
@@ -86,7 +87,10 @@ val start_paged :
     raw replay outcomes are exchanged with every other controller bound
     to the same {!Fragcache} (the `ppd serve` registry keeps one per
     opened log): clean outcomes are published after assembly and the
-    cache is consulted before any serial replay. Statistics
+    cache is consulted before any serial replay. With [tables] (which
+    must be built from [eb]'s program), graph assembly uses those
+    per-program tables instead of building its own: the daemon builds
+    them once per registry entry. Statistics
     ([replays]/[replay_steps]) count assembly, not raw replay work, so
     they are unchanged by sharing.
 

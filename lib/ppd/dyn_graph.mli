@@ -66,7 +66,10 @@ val add_node :
   int
 
 val add_edge : t -> src:int -> dst:int -> kind:edge_kind -> unit
-(** Idempotent: duplicate (src, dst, kind) edges are ignored. *)
+(** Idempotent: duplicate (src, dst, kind) edges are ignored. [Data]
+    kinds are told apart by the variable's vid, and a graph keeps the
+    first [var] it saw for each vid. @raise Invalid_argument on an
+    unknown node id or a negative [Dparam] index. *)
 
 val nnodes : t -> int
 

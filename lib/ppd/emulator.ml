@@ -21,7 +21,7 @@ type state = {
   eb : Analysis.Eblock.t;
   prog : P.t;
   pid : int;
-  entries : L.entry array;
+  win : L.window;  (* the log entries this replay may read *)
   mutable cursor : int;
   mutable seq : int;
   mutable frames : I.frame list;
@@ -50,6 +50,16 @@ let emit st ev =
     Buffer.add_char st.out '\n'
   | _ -> ());
   { E.epid = st.pid; eseq = seq }
+
+(* Entry [i] of the replayed process's log; readers stop at [lim w]. *)
+let window_entry (w : L.window) i =
+  if i < w.w_lo || i >= w.w_lo + w.w_len then
+    invalid_arg "Emulator: log entry outside the interval's window"
+  else w.w_entries.(i - w.w_lo + w.w_off)
+
+let lim (w : L.window) = w.w_lo + w.w_len
+
+let entry st i = window_entry st.win i
 
 let global_slot (st : state) vid =
   match st.prog.vars.(vid).vscope with
@@ -102,8 +112,8 @@ let ctx st =
 (* If the entry at the cursor is a sync-unit prelog for [point], apply
    it to the overlay and advance. *)
 let maybe_sync_prelog st =
-  if st.cursor < Array.length st.entries then
-    match st.entries.(st.cursor) with
+  if st.cursor < lim st.win then
+    match entry st st.cursor with
     | L.Sync_prelog { vals; _ } ->
       apply_globals st vals;
       st.cursor <- st.cursor + 1
@@ -111,9 +121,9 @@ let maybe_sync_prelog st =
 
 let expect_sync st ~sid =
   if st.validate then begin
-    if st.cursor >= Array.length st.entries then
+    if st.cursor >= lim st.win then
       mismatch "log exhausted but replay reached sync statement s%d" sid;
-    match st.entries.(st.cursor) with
+    match entry st st.cursor with
     | L.Sync { sid = Some sid'; seq; data = L.S_kind kind; _ } ->
       if sid' <> sid then
         mismatch "replay at s%d but log records sync at s%d" sid sid';
@@ -131,13 +141,13 @@ let expect_sync st ~sid =
        seek the next sync record (applying shared snapshots on the way)
        and use its payload if it still matches this statement *)
     let rec seek () =
-      if st.cursor >= Array.length st.entries then
+      if st.cursor >= lim st.win then
         raise
           (I.Fault
              (Printf.sprintf
                 "what-if execution diverged: no sync record left for s%d" sid))
       else
-        match st.entries.(st.cursor) with
+        match entry st st.cursor with
         | L.Sync { sid = Some sid'; data = L.S_kind kind; _ } ->
           st.cursor <- st.cursor + 1;
           if sid' = sid then kind
@@ -162,7 +172,7 @@ let expect_sync st ~sid =
    matching Postlog, returning it. *)
 let skip_nested st ~(block : L.block) =
   let describe = Format.asprintf "%a" L.pp_block block in
-  (match st.entries.(st.cursor) with
+  (match entry st st.cursor with
   | L.Prelog { block = b; _ } when b = block -> ()
   | e ->
     mismatch "expected nested prelog of %s, found %s" describe
@@ -170,9 +180,9 @@ let skip_nested st ~(block : L.block) =
   let depth = ref 0 in
   let result = ref None in
   while !result = None do
-    (if st.cursor >= Array.length st.entries then
+    (if st.cursor >= lim st.win then
        mismatch "nested e-block %s has no matching postlog" describe);
-    (match st.entries.(st.cursor) with
+    (match entry st st.cursor with
     | L.Prelog _ -> incr depth
     | L.Postlog { vals; ret; seq_at; via_return; _ } ->
       decr depth;
@@ -194,9 +204,9 @@ let finish_root st ret =
        that were re-executed rather than skipped: seek, and synthesize
        the exit if the divergent run simply outlived the log. *)
     let rec find_exit () =
-      if st.cursor >= Array.length st.entries then None
+      if st.cursor >= lim st.win then None
       else
-        match st.entries.(st.cursor) with
+        match entry st st.cursor with
         | L.Sync { data = L.S_proc_exit { fid; result }; seq; _ } ->
           st.cursor <- st.cursor + 1;
           Some (fid, result, seq)
@@ -576,7 +586,7 @@ let check_postlog st ~single_process =
   match st.iv.L.iv_postlog with
   | None -> []
   | Some idx -> (
-    match st.entries.(idx) with
+    match entry st idx with
     | L.Postlog { vals; _ } ->
       List.filter_map
         (fun (vid, logged) ->
@@ -616,22 +626,25 @@ let c_replays = Obs.counter "ppd.emulator.replays"
    genuinely runaway replay would take. *)
 let f_replay = Fault.site "ppd.emulator.replay"
 
-let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
-    ?(overrides = []) ?(validate = true) eb (log : L.t)
+(* [log] is the whole log, needed only by what-if replays
+   ([validate = false]) to restore the full shared store. *)
+let run ~on_event ~max_steps ~overrides ~validate ~log eb (w : L.window)
     ~(interval : L.interval) =
   Obs.incr c_replays;
   let max_steps =
     match Fault.fire f_replay with Some _ -> 0 | None -> max_steps
   in
-  Obs.with_span ~cat:"replay"
-    ~arg:(Printf.sprintf "p%d#%d" interval.L.iv_pid interval.L.iv_id)
-    "replay"
-  @@ fun () ->
+  let arg =
+    if Obs.enabled () then
+      Some (Printf.sprintf "p%d#%d" interval.L.iv_pid interval.L.iv_id)
+    else None
+  in
+  Obs.with_span ~cat:"replay" ?arg "replay" @@ fun () ->
   let prog = eb.Analysis.Eblock.prog in
   let pid = interval.L.iv_pid in
-  let entries = log.L.entries.(pid) in
+  if w.L.w_pid <> pid then invalid_arg "Emulator.replay: window of another process";
   let prelog_vals, caller_sid, block =
-    match entries.(interval.L.iv_prelog) with
+    match window_entry w interval.L.iv_prelog with
     | L.Prelog { vals; caller_sid; block; _ } -> (vals, caller_sid, block)
     | _ -> invalid_arg "Emulator.replay: interval prelog index is not a prelog"
   in
@@ -643,7 +656,7 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
   (* a process-root interval is preceded by its proc-start sync record *)
   let root_is_proc, spawn_ref =
     if interval.L.iv_prelog > 0 then
-      match entries.(interval.L.iv_prelog - 1) with
+      match window_entry w (interval.L.iv_prelog - 1) with
       | L.Sync { data = L.S_proc_start { spawn; _ }; _ } -> (true, spawn)
       | _ -> (false, None)
     else (false, None)
@@ -659,7 +672,7 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
       eb;
       prog;
       pid;
-      entries;
+      win = w;
       cursor = interval.L.iv_prelog + 1;
       seq = interval.L.iv_seq_start;
       frames = [ frame ];
@@ -670,8 +683,7 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
       steps = 0;
       root_is_proc;
       root_loop;
-      stop_seq =
-        (if pid < Array.length log.L.stops then log.L.stops.(pid) else max_int);
+      stop_seq = w.L.w_stop;
       iv = interval;
       finished = false;
       validate = true;
@@ -682,18 +694,19 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
      their logs, so any shared variable can be read — seed the overlay
      with the full restored store at the interval's start (§5.7:
      restoration, then modification, then re-start). *)
-  if not validate then begin
+  (match log with
+  | Some log when not validate ->
     let snap =
       Restore.shared_at prog log
         ~step:
-          (match entries.(interval.L.iv_prelog) with
+          (match window_entry w interval.L.iv_prelog with
           | L.Prelog { step_at; _ } -> step_at
           | _ -> 0)
     in
     Array.iteri
       (fun slot v -> st.overlay.(slot) <- Some (V.copy v))
       snap.Restore.globals
-  end;
+  | Some _ | None -> ());
   (match root_loop with
   | None -> ()
   | Some sid ->
@@ -732,7 +745,7 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
   if overrun then fault := Some "replay step budget exhausted";
   let postlog_mismatches =
     if st.finished && st.validate then
-      check_postlog st ~single_process:(log.L.nprocs = 1)
+      check_postlog st ~single_process:(w.L.w_nprocs = 1)
     else []
   in
   {
@@ -743,3 +756,14 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
     overrun;
     postlog_mismatches;
   }
+
+let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
+    ?(overrides = []) ?(validate = true) eb (log : L.t) ~interval =
+  let pid = interval.L.iv_pid in
+  run ~on_event ~max_steps ~overrides ~validate ~log:(Some log) eb
+    (L.window log ~pid ~lo:0 ~hi:(Array.length log.L.entries.(pid) - 1))
+    ~interval
+
+let replay_window ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000) eb w
+    ~interval =
+  run ~on_event ~max_steps ~overrides:[] ~validate:true ~log:None eb w ~interval

@@ -55,3 +55,16 @@ val replay :
     control flow may diverge from the log, so pass [~validate:false] to
     tolerate sync records that no longer line up (the replay then treats
     the log as an oracle for values it still needs, best-effort). *)
+
+val replay_window :
+  ?on_event:(seq:int -> Runtime.Event.t -> unit) ->
+  ?max_steps:int ->
+  Analysis.Eblock.t ->
+  Trace.Log.window ->
+  interval:Trace.Log.interval ->
+  outcome
+(** A validating {!replay} that reads only [window]: the interval's own
+    entries, from the sync record before its prelog through its postlog
+    (or the process's last entry when the interval is still open). A
+    read past the window is the log running out, as it is past the end
+    of a whole log. *)

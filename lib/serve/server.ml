@@ -63,6 +63,9 @@ type entry = {
   e_log : string;
   e_reader : Store.Segment.reader;
   e_eb : Analysis.Eblock.t;
+  e_tables : Ppd.Builder.tables;
+      (* graph-assembly tables of [e_eb]'s program, built once here
+         instead of by every request's controller *)
   e_frag : Ppd.Fragcache.t;
   mutable e_refs : int;
 }
@@ -385,6 +388,7 @@ let acquire_entry t ~log ~program ~inline ~loops : entry rpc_result =
           e_log = log;
           e_reader = reader;
           e_eb = eb;
+          e_tables = Ppd.Builder.tables prog;
           e_frag = Ppd.Fragcache.create ?budget:t.budget ();
           e_refs = 0;
         }
@@ -585,8 +589,8 @@ let request_ctl t (e : entry) ~degraded ~max_replay_steps ~deadline ~seed =
       retry_seed = seed;
     }
   in
-  Ppd.Controller.start_paged ?pool:t.pool ~shared:e.e_frag ~config e.e_eb
-    e.e_reader
+  Ppd.Controller.start_paged ?pool:t.pool ~shared:e.e_frag ~tables:e.e_tables
+    ~config e.e_eb e.e_reader
 
 (* A deterministic per-request backoff seed: the (session, request)
    ordinal pair, mixed so neighbouring requests land on different

@@ -54,10 +54,6 @@ let get_u64_le s pos =
   done;
   !v
 
-(* Never read by the emulator: a window's out-of-range slots hold this. *)
-let filler_entry =
-  L.Sync { sid = None; seq = 0; step_at = 0; data = L.S_kind E.K_assign }
-
 (* The writer keeps a skeleton of every entry (positions and counters,
    no snapshots) so closing can run [Log.intervals] for the footer index
    without holding the real log in memory. *)
@@ -1106,27 +1102,39 @@ let entry r ~pid ~idx =
 
 let window r ~pid ~lo ~hi =
   match r.r_backing with
-  | B_mem m -> m.bm_log
+  | B_mem m -> L.window m.bm_log ~pid ~lo ~hi
   | B_indexed ix ->
     let px = ix.ix_index.(pid) in
-    let count = px.px_count in
-    let arr = Array.make count filler_entry in
-    (if count > 0 && lo < count && hi >= 0 then begin
-       let first = find_page px ~idx:(max 0 lo) in
-       let last = find_page px ~idx:(min hi (count - 1)) in
-       for page = first to last do
-         let entries = decode_page ix ~pid ~page in
-         Array.blit entries 0 arr px.px_first.(page) (Array.length entries)
-       done
-     end);
-    {
-      L.nprocs = Array.length ix.ix_index;
-      entries =
-        Array.mapi (fun p _ -> if p = pid then arr else [||]) ix.ix_index;
-      stops = Array.map (fun px -> px.px_stop) ix.ix_index;
-      tier = ix.ix_tier;
-      ckpts = ix.ix_ckpts;
-    }
+    let lo = max 0 lo and hi = min hi (px.px_count - 1) in
+    let win entries ~off ~len =
+      {
+        L.w_pid = pid;
+        w_entries = entries;
+        w_off = off;
+        w_lo = lo;
+        w_len = len;
+        w_stop = px.px_stop;
+        w_nprocs = Array.length ix.ix_index;
+      }
+    in
+    if hi < lo then win [||] ~off:0 ~len:0
+    else
+      let first = find_page px ~idx:lo and last = find_page px ~idx:hi in
+      if first = last then
+        (* the common case: one cached page, read in place *)
+        win (decode_page ix ~pid ~page:first) ~off:(lo - px.px_first.(first))
+          ~len:(hi - lo + 1)
+      else begin
+        let arr = ref [||] in
+        for page = first to last do
+          let entries = decode_page ix ~pid ~page in
+          let p0 = px.px_first.(page) in
+          let a = max lo p0 and b = min hi (p0 + Array.length entries - 1) in
+          if page = first then arr := Array.make (hi - lo + 1) entries.(a - p0);
+          Array.blit entries (a - p0) !arr (a - lo) (b - a + 1)
+        done;
+        win !arr ~off:0 ~len:(hi - lo + 1)
+      end
 
 let to_log r =
   match r.r_backing with

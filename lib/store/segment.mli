@@ -172,14 +172,13 @@ val entry : reader -> pid:int -> idx:int -> Trace.Log.entry
 (** Decode the page holding one entry and return it. @raise
     Unreadable if the page is damaged. *)
 
-val window : reader -> pid:int -> lo:int -> hi:int -> Trace.Log.t
-(** A demand-paged view: a log whose [pid] entry array has at least the
-    entries [lo..hi] decoded in place (slots outside the touched pages
-    hold an inert filler, other processes are empty) but whose
-    [nprocs]/[stops] are real, so the emulator's absolute indexing
-    works unchanged. Decoded pages are cached in a sharded,
-    lock-protected LRU keyed by [(pid, page)]; safe to call from pool
-    domains.
+val window : reader -> pid:int -> lo:int -> hi:int -> Trace.Log.window
+(** Entries [lo..hi] of process [pid] (clipped to the ones it has), and
+    nothing else: an indexed reader decodes only the pages the range
+    spans and hands out a cached page in place when one page holds the
+    whole range, or a copy of just the range otherwise. Decoded pages
+    are cached in a sharded, lock-protected LRU keyed by
+    [(pid, page)]; safe to call from pool domains.
     @raise Unreadable if a page in range is damaged. *)
 
 val to_log : reader -> Trace.Log.t

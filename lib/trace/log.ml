@@ -70,6 +70,29 @@ type t = {
   ckpts : ckpt array;
 }
 
+type window = {
+  w_pid : int;
+  w_entries : entry array;
+  w_off : int;
+  w_lo : int;
+  w_len : int;
+  w_stop : int;
+  w_nprocs : int;
+}
+
+let window t ~pid ~lo ~hi =
+  let entries = t.entries.(pid) in
+  let lo = max 0 lo and hi = min hi (Array.length entries - 1) in
+  {
+    w_pid = pid;
+    w_entries = entries;
+    w_off = lo;
+    w_lo = lo;
+    w_len = max 0 (hi - lo + 1);
+    w_stop = (if pid < Array.length t.stops then t.stops.(pid) else max_int);
+    w_nprocs = t.nprocs;
+  }
+
 let content ~nprocs ~entries ~stops =
   { nprocs; entries; stops; tier = T_content; ckpts = [||] }
 

@@ -108,6 +108,25 @@ type t = {
   ckpts : ckpt array;  (** in step order *)
 }
 
+(** The entries one interval's emulation reads: entries
+    [w_lo .. w_lo + w_len - 1] of process [w_pid], held at
+    [w_entries.(w_off) ..]. Over an in-memory log the backing array is
+    the process's own (nothing is copied); a paged reader hands out a
+    decoded page, or a copy of just the pages the interval spans. *)
+type window = {
+  w_pid : int;
+  w_entries : entry array;
+  w_off : int;  (** index in [w_entries] of entry [w_lo] *)
+  w_lo : int;
+  w_len : int;
+  w_stop : int;  (** the process's entry in [stops] *)
+  w_nprocs : int;
+}
+
+val window : t -> pid:int -> lo:int -> hi:int -> window
+(** Entries [lo..hi] of process [pid] (clipped to the ones it has),
+    without copying. *)
+
 val content :
   nprocs:int -> entries:entry array array -> stops:int array -> t
 (** A content-tier log with no checkpoints (the historical shape). *)

@@ -337,6 +337,13 @@ def check_t13(data, failures):
 # every row (it is the correctness contract, not a perf number), and
 # checkpoint seeding must actually bound the seek scan.
 T14_ORDER_MAX_RATIO = 0.3
+# Graph assembly must cost what the interval holds. matmul-12's first
+# flowback emulates one ~7000-step e-block and assembles its fragment;
+# timing it against reconstruction of the same program's order log
+# (measured in the same run) keeps the bound independent of host speed.
+# The old per-event label formatting and per-edge list cells put it
+# near 134x; flat edge storage and per-program tables bring it to ~50x.
+T14_FB_OVER_RECON_MAX = {"matmul-12": 80.0}
 
 
 def check_t14(data, failures):
@@ -366,6 +373,21 @@ def check_t14(data, failures):
                 f"log (> {T14_ORDER_MAX_RATIO}x) — the order tier is "
                 f"recording more than the sync order"
             )
+        fb_max = T14_FB_OVER_RECON_MAX.get(name)
+        recon_ns, fb_ns = float(row["recon_ns"]), float(row["fb_content_ns"])
+        if fb_max is not None and recon_ns > 0:
+            fb_ratio = fb_ns / recon_ns
+            print(
+                f"perf-gate: t14/{name}: first flowback {fb_ns / 1e6:.2f} ms "
+                f"= {fb_ratio:.1f}x reconstruction (max {fb_max:.0f}x)"
+            )
+            if fb_ratio > fb_max:
+                failures.append(
+                    f"t14/{name}: first content-tier flowback takes "
+                    f"{fb_ratio:.1f}x the order log's reconstruction "
+                    f"(> {fb_max:.0f}x) — graph assembly costs more than "
+                    f"the interval it assembles"
+                )
         scan_full, scan_ckpt = int(row["scan_full"]), int(row["scan_ckpt"])
         if scan_ckpt > scan_full:
             failures.append(

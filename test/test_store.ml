@@ -515,6 +515,75 @@ let test_of_log_equals_open_file () =
     readers_agree (Printf.sprintf "parallel seed %d" seed) eb log
   done
 
+(* Interval windows: replaying an interval from only its own entries —
+   a paged segment's window, or an in-memory reader's — must give the
+   outcome a replay over the whole in-memory log gives, and the window
+   must hold exactly the entries the interval spans (the sync record
+   before its prelog through its postlog, or the process's end). *)
+let windows_agree name eb (log : L.t) =
+  let prog = eb.Analysis.Eblock.prog in
+  let stmt_fid sid = prog.Lang.Prog.stmt_fid.(sid) in
+  let replayed f =
+    match f () with
+    | (o : Ppd.Emulator.outcome) ->
+      Ok (o.events, o.steps, o.output, o.fault, o.postlog_mismatches)
+    | exception Ppd.Emulator.Replay_mismatch m -> Error m
+  in
+  with_tmp (fun path ->
+      S.save path log;
+      let readers = [ ("paged", S.open_file path); ("memory", S.of_log log) ] in
+      for pid = 0 to log.L.nprocs - 1 do
+        Array.iter
+          (fun (iv : L.interval) ->
+            let lo = iv.iv_prelog - 1 in
+            let hi =
+              match iv.iv_postlog with
+              | Some p -> p
+              | None -> Array.length log.L.entries.(pid) - 1
+            in
+            let span = hi - max 0 lo + 1 in
+            let whole = replayed (fun () -> Ppd.Emulator.replay eb log ~interval:iv) in
+            List.iter
+              (fun (rname, reader) ->
+                let what = Printf.sprintf "%s %s p%d#%d" name rname pid iv.iv_id in
+                let w = S.window reader ~pid ~lo ~hi in
+                Alcotest.(check int) (what ^ " window size") span w.L.w_len;
+                Alcotest.(check bool) (what ^ " window in bounds") true
+                  (w.L.w_off + w.L.w_len <= Array.length w.L.w_entries);
+                Alcotest.(check bool) (what ^ " window replay = whole log") true
+                  (replayed (fun () ->
+                       Ppd.Emulator.replay_window eb w ~interval:iv)
+                  = whole))
+              readers)
+          (L.intervals ~stmt_fid log ~pid)
+      done)
+
+let test_windows_equal_whole_log () =
+  let order_tier =
+    L.T_order { L.o_sched = "rr:1"; o_engine = "vm"; o_max_steps = 200_000 }
+  in
+  let programs =
+    Workloads.all_fixed
+    @ List.init 10 (fun seed ->
+          (Printf.sprintf "parallel seed %d" seed, Gen.parallel ~protect:`Always seed))
+    (* snapshot-heavy: its intervals span several pages *)
+    @ [ ("hist", Workloads.locked_hist ~workers:2 ~rounds:8 ~cells:512) ]
+  in
+  List.iter
+    (fun (name, src) ->
+      let eb = Analysis.Eblock.analyze (Lang.Compile.compile src) in
+      let run tier =
+        let _, log, _ =
+          Trace.Logger.run_logged ~sched:(Runtime.Sched.Round_robin 1)
+            ~max_steps:200_000 ?tier eb
+        in
+        log
+      in
+      windows_agree (name ^ " content") eb (run None);
+      windows_agree (name ^ " order") eb
+        (Ppd.Reconstruct.reconstruct eb (run (Some order_tier))))
+    programs
+
 let suite =
   ( "store",
     [
@@ -541,4 +610,6 @@ let suite =
         test_salvaged_reader_still_debugs;
       Alcotest.test_case "of_log reader = open_file reader" `Quick
         test_of_log_equals_open_file;
+      Alcotest.test_case "interval window replay = whole-log replay" `Quick
+        test_windows_equal_whole_log;
     ] )

@@ -140,6 +140,101 @@ let test_dyn_graph_container () =
   Alcotest.check_raises "bad edge" (Invalid_argument "Dyn_graph.add_edge: bad node id")
     (fun () -> add_edge g ~src:0 ~dst:9999 ~kind:Flow)
 
+(* The edge store against a list model with the container's documented
+   semantics: per node, incoming and outgoing edges oldest first, and a
+   repeated (src, dst, kind) ignored — [Data] kinds compared by vid. *)
+type graph_op = Op_node | Op_edge of int * int * int
+
+let graph_ops_gen =
+  QCheck2.Gen.(
+    list_size (int_range 1 1200)
+      (frequency
+         [
+           (1, pure Op_node);
+           (* small ids and a small kind alphabet make repeats common *)
+           ( 3,
+             map3
+               (fun s d k -> Op_edge (s, d, k))
+               (int_range 0 40) (int_range 0 300) (int_range 0 11) );
+         ]))
+
+let prop_edge_store_model ops =
+  let open Ppd.Dyn_graph in
+  let vars =
+    (Util.compile
+       "shared int a = 0; shared int b = 0; shared int c = 0; func main() { }")
+      .Lang.Prog.vars
+  in
+  let kind_of k =
+    match k with
+    | 0 -> Flow
+    | 1 -> Control
+    | 2 -> Sync
+    | k when k < 3 + Array.length vars -> Data vars.(k - 3)
+    | k -> Dparam (k - 3 - Array.length vars)
+  in
+  let same a b =
+    match (a, b) with
+    | Data v, Data w -> v.Lang.Prog.vid = w.Lang.Prog.vid
+    | _ -> a = b
+  in
+  let g = create () in
+  let m_preds = ref [||] and m_succs = ref [||] and m_edges = ref 0 in
+  List.iter
+    (function
+      | Op_node ->
+        let i = Array.length !m_preds in
+        ignore (add_node g ~pid:0 ~kind:(N_singular i) ~label:"n" ());
+        m_preds := Array.append !m_preds [| [] |];
+        m_succs := Array.append !m_succs [| [] |]
+      | Op_edge (s, d, k) ->
+        let n = Array.length !m_preds in
+        if n > 0 then begin
+          let src = s mod n and dst = d mod n and kind = kind_of k in
+          add_edge g ~src ~dst ~kind;
+          if
+            not
+              (List.exists
+                 (fun (s', k') -> s' = src && same k' kind)
+                 !m_preds.(dst))
+          then begin
+            !m_preds.(dst) <- !m_preds.(dst) @ [ (src, kind) ];
+            !m_succs.(src) <- !m_succs.(src) @ [ (dst, kind) ];
+            incr m_edges
+          end
+        end)
+    ops;
+  let model_pp ppf () =
+    let pp_kind ppf = function
+      | Flow -> Format.pp_print_string ppf "flow"
+      | Data v -> Format.fprintf ppf "data:%s" v.Lang.Prog.vname
+      | Dparam i -> Format.fprintf ppf "param:%%%d" i
+      | Control -> Format.pp_print_string ppf "ctrl"
+      | Sync -> Format.pp_print_string ppf "sync"
+    in
+    Format.fprintf ppf "@[<v>dynamic graph (%d nodes, %d edges):"
+      (Array.length !m_preds) !m_edges;
+    Array.iteri
+      (fun i incoming ->
+        Format.fprintf ppf "@,%a" pp_node (node g i);
+        List.iter
+          (fun (src, k) -> Format.fprintf ppf "@,   <- #%d [%a]" src pp_kind k)
+          incoming)
+      !m_preds;
+    Format.fprintf ppf "@]"
+  in
+  let eq_list a b =
+    List.length a = List.length b
+    && List.for_all2 (fun (i, k) (j, k') -> i = j && same k k') a b
+  in
+  nnodes g = Array.length !m_preds
+  && nedges g = !m_edges
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun i p -> eq_list (preds g i) p && eq_list (succs g i) !m_succs.(i))
+          !m_preds)
+  && String.equal (Format.asprintf "%a" pp g) (Format.asprintf "%a" model_pp ())
+
 let test_interp_frame () =
   let p =
     Util.compile "func f(a, b) { var x = a; var arr[2]; return x + b; } func main() { }"
@@ -182,5 +277,7 @@ let suite =
         test_sched_random_deterministic;
       Alcotest.test_case "scripted scheduler" `Quick test_sched_scripted;
       Alcotest.test_case "dynamic graph container" `Quick test_dyn_graph_container;
+      Util.qtest ~count:200 "edge store matches the list model" graph_ops_gen
+        prop_edge_store_model;
       Alcotest.test_case "interpreter frames" `Quick test_interp_frame;
     ] )
